@@ -6,7 +6,6 @@ output of an earlier run.  A failed check raises ``CheckFailed``.
 """
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 class CheckFailed(AssertionError):
@@ -77,6 +76,9 @@ def check_reports_agree(first, second, keys, what, tol=1e-10):
 
 def accuracy(pred, truth):
     """Matched accuracy from a confusion table and a maximum assignment."""
+    # here, not at the top: set-up time is the package's imports alone
+    from scipy.optimize import linear_sum_assignment
+
     pred = np.asarray(pred, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
     rows, cols = int(pred.max()) + 1, int(truth.max()) + 1

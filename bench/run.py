@@ -2,7 +2,7 @@
 
 Run from the root of a checkout:
 
-    python3 bench/run.py --workload converge --seed 1 --seconds 40 --trace 0
+    python3 bench/run.py --workload converge --seed 1 --seconds 35 --trace 0
 
 With ``--trace 0`` it times whole rounds of ops, untraced, for up to
 ``--seconds``, and reports the end-to-end metrics.  With
@@ -13,7 +13,6 @@ JSON object: correct, attempted, failed and metrics.  See bench/README.md.
 """
 
 import argparse
-import importlib
 import json
 import os
 import resource
@@ -22,7 +21,8 @@ import subprocess
 import sys
 import time
 import traceback
-import types
+
+import numpy as np
 
 import checks
 
@@ -30,7 +30,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 OUT = os.path.join(ROOT, ".bench_out")
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
 # rounds per pass of a traced run: a fixed amount of work, so that the
 # per-layer counts of two commits compare call for call
 TRACE_ROUNDS = {"converge": 2, "report": 1, "sweep": 4}
@@ -64,7 +64,7 @@ def make_workload(name, seed):
     os.makedirs(OUT, exist_ok=True)
     workload = workloads.WORKLOADS[name](seed, OUT)
     workload.round(0)
-    return workload, plain_api(workload)
+    return workload
 
 
 def measure_setup(args):
@@ -90,7 +90,7 @@ class Tally:
         self.durations = []
 
 
-def run_round(workload, ops, api, tally, tracer=None):
+def run_round(workload, ops, tally, tracer=None):
     """Run one round; return the seconds spent inside the ops."""
     spent = 0.0
     for op in ops:
@@ -98,7 +98,7 @@ def run_round(workload, ops, api, tally, tracer=None):
         tally.attempted += 1
         started = time.perf_counter()
         try:
-            result = workload.run(op, api)
+            result = workload.run(op)
         except Exception:
             tally.failed += 1
             traceback.print_exc(file=sys.stderr)
@@ -119,28 +119,15 @@ def run_round(workload, ops, api, tally, tracer=None):
     return spent
 
 
-def plain_api(workload):
-    """The package functions the workload calls, by their names."""
-    return types.SimpleNamespace(**{
-        attr: getattr(importlib.import_module(f"nmfcluster.{module}"), attr)
-        for attr, module in workload.API.items()})
-
-
-def traced_api(workload, tracer):
-    return types.SimpleNamespace(**{
-        attr: tracer.wrap(fn, f"{workload.API[attr]}.{attr}")
-        for attr, fn in vars(plain_api(workload)).items()})
-
-
 def end_to_end(args):
     setup_s = measure_setup(args)
-    workload, api = make_workload(args.workload, args.seed)
+    workload = make_workload(args.workload, args.seed)
     tally = Tally()
     started = time.perf_counter()
     r = elapsed = 0
     # whole rounds, as many as the mean round predicts will end within --seconds
     while r == 0 or elapsed + elapsed / r <= args.seconds:
-        run_round(workload, workload.round(r), api, tally)
+        run_round(workload, workload.round(r), tally)
         r += 1
         elapsed = time.perf_counter() - started
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
@@ -156,7 +143,22 @@ def end_to_end(args):
     }
 
 
-def layer_metrics(table, workload, ops, overhead_s):
+def sweep_capacity(spans, names):
+    """Sum over run_sweep calls of their wall time times the number of
+    threads their cells ran on."""
+    ids = {name: i for i, name in enumerate(names)}
+    if "experiment.run_sweep" not in ids:
+        return 0.0
+    cells = spans["name"] == ids.get("experiment.sweep_cell", -1)
+    capacity = 0.0
+    for i in np.flatnonzero(spans["name"] == ids["experiment.run_sweep"]):
+        start, end = spans["start"][i], spans["end"][i]
+        inside = cells & (spans["start"] >= start) & (spans["end"] <= end)
+        capacity += (end - start) * np.unique(spans["thread"][inside]).size
+    return capacity
+
+
+def layer_metrics(table, capacity, ops, overhead_s):
     def get(name, field):
         return table.get(name, {}).get(field, 0.0 if field.endswith("_s") else 0)
 
@@ -169,8 +171,6 @@ def layer_metrics(table, workload, ops, overhead_s):
     anls_self = self_sum(*anls_names)
     solves = sum(get(name, "count") for name in anls_names)
     busy = 1e-9 * get("experiment.sweep_cell", "count")
-    sweep_wall = get("experiment.run_sweep", "total_s")
-    workers = workload.workers()
     generators = [name for name in table if name.startswith("data_io.gen")]
     mm = ("data_io.read_matrix_market", "data_io.write_matrix_market")
     return {
@@ -197,8 +197,7 @@ def layer_metrics(table, workload, ops, overhead_s):
         "baselines.kmeans.self_s": self_sum("baselines.kmeans"),
         "experiment.evaluate_factors.self_s": self_sum("experiment.evaluate_factors"),
         "experiment.sweep.busy_s": busy,
-        "experiment.sweep.parallel_efficiency":
-            busy / (sweep_wall * workers) if sweep_wall else 0.0,
+        "experiment.sweep.parallel_efficiency": busy / capacity if capacity else 0.0,
         "data_io.generate.self_s": self_sum("data_io.generate", *generators),
         "data_io.matrix_market.self_s": self_sum(*mm),
         "data_io.matrix_market.bytes": sum(get(name, "count") for name in mm),
@@ -210,19 +209,16 @@ def layer_metrics(table, workload, ops, overhead_s):
 
 
 def per_layer(args):
-    import numpy as np
-
     from tracing import Tracer, span_table
 
-    workload, api = make_workload(args.workload, args.seed)
+    workload = make_workload(args.workload, args.seed)
     rounds = [workload.round(r) for r in range(TRACE_ROUNDS[args.workload])]
     tally = Tally()
-    plain = sum(run_round(workload, ops, api, tally) for ops in rounds)
+    plain = sum(run_round(workload, ops, tally) for ops in rounds)
     tracer = Tracer()
-    api = traced_api(workload, tracer)
     tracer.install()
     try:
-        traced = sum(run_round(workload, ops, api, tally, tracer) for ops in rounds)
+        traced = sum(run_round(workload, ops, tally, tracer) for ops in rounds)
     finally:
         tracer.uninstall()
     spans = tracer.spans()
@@ -239,14 +235,15 @@ def per_layer(args):
     print(f"{args.workload}: {len(rounds)} rounds untraced {plain:.2f} s, traced "
           f"{traced:.2f} s; {workload.summary()}", file=sys.stderr)
     ops = sum(len(r) for r in rounds)
-    return tally, layer_metrics(table, workload, ops, traced - plain)
+    capacity = sweep_capacity(spans, tracer.names())
+    return tally, layer_metrics(table, capacity, ops, traced - plain)
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=sorted(TRACE_ROUNDS))
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=40.0)
+    parser.add_argument("--seconds", type=float, default=35.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--setup-only", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()

@@ -52,9 +52,9 @@ def swap_first_pair(labels):
 
 
 def converge_cases():
-    workload, api = run.make_workload("converge", 0)
+    workload = run.make_workload("converge", 0)
     op = workload.round(0)[0]
-    result = workload.run(op, api)
+    result = workload.run(op)
     (mu, trace), (anls, anls_trace) = result
     data = op.data
     expect("converge op", lambda: workload.check(op, result), True)
@@ -79,10 +79,10 @@ def converge_cases():
 
 
 def report_cases():
-    workload, api = run.make_workload("report", 0)
+    workload = run.make_workload("report", 0)
     op = workload.round(0)[0]  # an 11-vertex planted graph: the RA oracle runs
     workload.prepare()
-    printed = workload.run(op, api)
+    printed = workload.run(op)
     expect("report op", lambda: workload.check(op, printed), True)
     p = workload.paths
     with open(p["report.json"], encoding="ascii") as fh:
@@ -139,9 +139,9 @@ def report_cases():
 
 
 def sweep_cases():
-    workload, api = run.make_workload("sweep", 0)
+    workload = run.make_workload("sweep", 0)
     op = workload.round(0)[0]
-    reports = workload.run(op, api)
+    reports = workload.run(op)
     expect("sweep op", lambda: workload.check(op, reports), True)
     wrong = copy.deepcopy(reports)
     wrong[5]["coefficients"][0][0] += 0.05

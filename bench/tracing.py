@@ -4,8 +4,9 @@
 that refers to a public function of the package (its own or one it
 imported) with a wrapper that records a span, and ``uninstall()`` puts the
 originals back.  A call is therefore traced under the name the calling
-module uses for it, and nothing under ``src/`` changes.  The benchmark's
-own calls into the package go through ``Tracer.wrap`` the same way.
+module uses for it, and nothing under ``src/`` changes.  The benchmark
+calls the package through its modules (``solvers.nmf_anls``), so its own
+calls are traced the same way.
 
 A span is (name, start, end, parent, thread): parent is the span that was
 open on the same thread when it began, so a span's self time is its
@@ -32,9 +33,10 @@ CALLER_MODULES = ("affinity", "baselines", "cli", "core", "data_io",
 
 # penalty_value is called only by the solvers' per-iteration trace record,
 # which the mu_loop.other_s metric is meant to cover; _sweep_cell is private
-# but its span is the one unit of work a sweep's thread pool runs.
+# but its span is the one unit of work a sweep's thread pool runs; cli.main
+# is the console script, which the package does not export.
 SKIPPED = {"penalty_value"}
-EXTRA = {"experiment": ("_sweep_cell",)}
+EXTRA = {"experiment": ("_sweep_cell",), "cli": ("main",)}
 
 
 def _columns(data, *_args, **_kwargs):
@@ -75,7 +77,7 @@ def public_functions():
             names[fn] = f"{fn.__module__.rsplit('.', 1)[-1]}.{fn.__name__}"
     for module, attrs in EXTRA.items():
         for attr in attrs:
-            fn = getattr(getattr(nmfcluster, module), attr)
+            fn = getattr(importlib.import_module(f"nmfcluster.{module}"), attr)
             names[fn] = f"{module}.{attr.lstrip('_')}"
     return names
 

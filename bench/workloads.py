@@ -2,10 +2,11 @@
 
 Each workload hands out rounds of operations.  Round ``r`` of a run with
 seed ``s`` is drawn from ``numpy.random.default_rng([s, r])`` alone, so the
-same seed gives the same inputs, and every round holds the same mix.  An
+same seed gives the same inputs.  Every round holds the same mix of ops,
+except that converge alternates between two pairs of shapes.  An
 operation (op) is what a user calls: ``run`` is timed, ``check`` is not.
-Calls into the package go through ``api``, which the traced run swaps for
-wrapped functions.
+``run`` calls the package through its modules (``solvers.nmf_anls``), so
+the wrappers that the traced run installs in them see those calls too.
 """
 
 import contextlib
@@ -17,13 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 import nmfcluster
-from nmfcluster import SolverOptions, SyntheticSpec, generate
+from nmfcluster import SolverOptions, SyntheticSpec, cli, experiment, generate, solvers
 
 import checks
 
 
 class Workload:
-    """``round(r)`` gives the ops of round r; ``run(op, api)`` is one op."""
+    """``round(r)`` gives the ops of round r; ``run(op)`` is one op."""
 
     def __init__(self, seed, out_dir):
         self.seed = seed
@@ -34,10 +35,6 @@ class Workload:
     def summary(self):
         """A line for standard error at the end of a run."""
         return ""
-
-    def workers(self):
-        """Threads the workload's ops run on."""
-        return 1
 
 
 @dataclass(frozen=True)
@@ -53,19 +50,21 @@ class Converge(Workload):
 
     Each op solves its instance with MU (best of 5 restarts, tol 1e-12,
     window 10, cap 8000) and with ANLS (tol 1e-12, window 5, cap 150).  At
-    k = 4 most runs go to their iteration cap, so the work of an op depends
-    little on the seed; at k = 2 and 3 a run stops anywhere from
-    300 to 8000 iterations, and the dozen ops of a run could not give a
-    steady median.  A round pairs a shape (m, n) with (32 - m, 32 - n):
-    both are uniform on [8, 24], and the pair's NNLS solves per ANLS sweep,
-    m + n of each, always sum to 64.
+    k = 4 most runs go to their iteration cap; at k = 2 and 3 a run stops
+    anywhere from 300 to 8000 iterations, and the dozen ops of a run could
+    not give a steady median.  The shapes do not come from the seed, only
+    the entries and the solver seeds do.  Even rounds solve 8 x 24 and
+    24 x 8, odd rounds 12 x 20 and 20 x 12: each shape has m + n = 32, so
+    every ANLS sweep makes 32 NNLS solves, and the work of an op depends on
+    the seed only through where MU's stopping rule fires.  Rounds of two
+    ops, about 6 s, let a run fill its seconds.
     """
 
     name = "converge"
     K = 4
     MU = dict(restarts=5, tolerance=1e-12, window=10, max_iterations=8000)
     ANLS = dict(tolerance=1e-12, window=5, max_iterations=150)
-    API = {"nmf_multiplicative": "solvers", "nmf_anls": "solvers"}
+    SHAPES = (((8, 24), (24, 8)), ((12, 20), (20, 12)))
 
     def __init__(self, seed, out_dir):
         super().__init__(seed, out_dir)
@@ -74,13 +73,12 @@ class Converge(Workload):
 
     def round(self, r):
         rng = np.random.default_rng([self.seed, r])
-        m, n = (int(v) for v in rng.integers(8, 25, size=2))
         return [Instance(rng.random(shape), self.K, int(rng.integers(2**31)))
-                for shape in ((m, n), (32 - m, 32 - n))]
+                for shape in self.SHAPES[r % len(self.SHAPES)]]
 
-    def run(self, op, api):
-        mu = api.nmf_multiplicative(op.data, op.k, SolverOptions(seed=op.seed, **self.MU))
-        anls = api.nmf_anls(op.data, op.k, SolverOptions(seed=op.seed, **self.ANLS))
+    def run(self, op):
+        mu = solvers.nmf_multiplicative(op.data, op.k, SolverOptions(seed=op.seed, **self.MU))
+        anls = solvers.nmf_anls(op.data, op.k, SolverOptions(seed=op.seed, **self.ANLS))
         return mu, anls
 
     def check(self, op, result):
@@ -133,7 +131,6 @@ class Report(Workload):
     FILES = ("input.mtx", "labels.csv", "report.json", "evaluation.json",
              "comparison.json")
     REPORTS = FILES[2:]
-    API = {"main": "cli"}
     SHARED_KEYS = ("kkt_b", "kkt_c", "jb2", "jb2_norm", "jc2", "jc2_norm",
                    "item_labels_pred", "feature_labels_pred", "ra_items",
                    "ra_features", "ra_items_oracle", "ra_features_oracle",
@@ -155,7 +152,7 @@ class Report(Workload):
             with contextlib.suppress(FileNotFoundError):
                 os.remove(path)
 
-    def run(self, op, api):
+    def run(self, op):
         spec, p = op.spec, self.paths
         flags = ["--kind", spec.kind, "--n", str(spec.n), "--k", str(spec.k),
                  "--m", str(spec.m), "--noise", repr(spec.noise),
@@ -170,7 +167,7 @@ class Report(Workload):
         )
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            codes = [api.main(argv) for argv in commands]
+            codes = [cli.main(argv) for argv in commands]
         if any(codes):
             raise RuntimeError(f"nmf-cluster exit codes {codes}: {stderr.getvalue().strip()}")
         return stdout.getvalue()
@@ -242,7 +239,6 @@ class Sweep(Workload):
     SOLVERS = ("mu", "ortho")
     LAMBDAS = (0.0, 0.1, 1.0, 10.0)
     SEEDS = 6
-    API = {"run_sweep": "experiment"}
 
     def round(self, r):
         rng = np.random.default_rng([self.seed, r])
@@ -253,14 +249,9 @@ class Sweep(Workload):
     def cells(self):
         return len(self.SOLVERS) * self.SEEDS * len(self.LAMBDAS)
 
-    def workers(self):
-        # run_sweep's default: NMF_CLUSTER_THREADS, else the CPU count
-        cap = int(os.environ.get("NMF_CLUSTER_THREADS", "").strip() or os.cpu_count() or 1)
-        return max(1, min(cap, self.cells()))
-
-    def run(self, op, api):
-        return api.run_sweep(op.spec, self.SOLVERS, op.seeds, self.LAMBDAS,
-                             SolverOptions(ortho_mode="rows_of_C"))
+    def run(self, op):
+        return experiment.run_sweep(op.spec, self.SOLVERS, op.seeds, self.LAMBDAS,
+                                    SolverOptions(ortho_mode="rows_of_C"))
 
     def check(self, op, reports):
         if len(reports) != self.cells():
@@ -277,7 +268,7 @@ class Sweep(Workload):
         checks.check_penalty_trend(jc2, "ortho cells")
 
     def summary(self):
-        return f"{self.cells()} cells per grid on {self.workers()} workers"
+        return f"{self.cells()} cells per grid"
 
 
 WORKLOADS = {w.name: w for w in (Converge, Report, Sweep)}
