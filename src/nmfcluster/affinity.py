@@ -2,8 +2,9 @@
 
 For data A the item affinity is A^T A and the feature affinity is A A^T;
 both are computed with explicit upper-triangle mirroring so the result is
-exactly symmetric despite floating-point non-associativity (the Jacobi
-eigensolver downstream requires it).  A directed graph's weight matrix V
+exactly symmetric despite floating-point non-associativity (the spectral
+baseline's ``jacobi_eigen`` rejects asymmetric input, and ``eigh`` reads
+one triangle only).  A directed graph's weight matrix V
 becomes undirected as V + V^T, kept unscaled; ratio-association argmax
 partitions are invariant under uniform positive scaling, so the factor of
 two is harmless.

@@ -190,6 +190,7 @@ def read_matrix_market(path):
             raise ParseError(
                 f"{path}: header promises {nnz} entries, file has {len(entries)}"
             )
+        seen = {}
         for lineno, line in entries:
             parts = line.split()
             if len(parts) != 3:
@@ -204,6 +205,12 @@ def read_matrix_market(path):
                     f"{path}:{lineno}: index ({i}, {j}) outside 1-based bounds "
                     f"({rows}, {cols})"
                 )
+            if (i, j) in seen:
+                raise ParseError(
+                    f"{path}:{lineno}: duplicate entry ({i}, {j}), first given "
+                    f"on line {seen[i, j]}"
+                )
+            seen[i, j] = lineno
             out[i - 1, j - 1] = value
     else:
         values = []

@@ -41,8 +41,8 @@ class ParseError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """An iterative routine hit its iteration limit without meeting its
-    termination test.  ``best`` holds the best iterate seen so far, so the
-    caller can salvage a usable answer."""
+    termination test.  ``best`` holds a feasible iterate (for NNLS, the
+    zero vector), so the caller can salvage a usable answer."""
 
     def __init__(self, message, best=None):
         super().__init__(message)

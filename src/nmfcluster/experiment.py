@@ -17,6 +17,7 @@ summary table.
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -258,17 +259,17 @@ def run_compare(
     )
     km_seconds = time.perf_counter() - started
 
+    aff_items = item_affinity(data)
     started = time.perf_counter()
     if _symmetric_square(data):
         spectral_input = data
         spectral_on = "input matrix"
     else:
-        spectral_input = item_affinity(data)
+        spectral_input = aff_items
         spectral_on = "item affinity"
     sp_part = spectral_ratio_assoc(spectral_input, k, seed=options.seed)
     sp_seconds = time.perf_counter() - started
 
-    aff_items = item_affinity(data)
     comparison = {
         "schema_version": SCHEMA_VERSION,
         "input": source if source is not None else {"shape": list(data.shape)},
@@ -371,25 +372,12 @@ def _thread_cap():
 
 
 def _sweep_cell(spec, solver, seed, lam, base_options):
-    cell_spec = SyntheticSpec(
-        kind=spec.kind,
-        n=spec.n,
-        k=spec.k,
-        m=spec.m,
-        noise=spec.noise,
-        overlap=spec.overlap,
-        seed=seed,
-    )
+    cell_spec = replace(spec, seed=seed)
     data, items, features = generate(cell_spec)
-    mode = base_options.ortho_mode if solver == "ortho" else "none"
-    options = SolverOptions(
-        max_iterations=base_options.max_iterations,
-        tolerance=base_options.tolerance,
-        window=base_options.window,
+    options = replace(
+        base_options,
         seed=seed,
-        restarts=base_options.restarts,
-        epsilon_guard=base_options.epsilon_guard,
-        ortho_mode=mode,
+        ortho_mode=base_options.ortho_mode if solver == "ortho" else "none",
         penalty=lam if solver == "ortho" else 0.0,
     )
     report = run_experiment(

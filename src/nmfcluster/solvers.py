@@ -9,16 +9,19 @@ nonnegative factors:
   selected by ``ortho_mode``.  Row-orthogonal C and column-orthogonal B are
   the two one-sided regimes; ``both`` penalizes both Gram matrices.
 * ``nmf_anls``: alternating nonnegative least squares, each half-sweep
-  solved exactly column by column with an active-set kernel.
+  solved exactly column by column by ``scipy.optimize.nnls``.
 
-Every solver returns a (FactorPair, ConvergenceTrace) pair and is
-deterministic given (data, rank, options).
+All three run through one restart-and-stop driver that takes the
+per-iteration step as a function.  Every solver returns a
+(FactorPair, ConvergenceTrace) pair and is deterministic given
+(data, rank, options).
 """
 
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import nnls
 
 from .core import (
     ConvergenceTrace,
@@ -267,7 +270,9 @@ def _validate_problem(data, k):
     return data
 
 
-def _run_multiplicative(data, k, options, seed):
+def _run(data, k, options, seed, step):
+    """One start: iterate ``step(data, basis, coef, options)`` from the
+    seeded initial point until the window rule fires or the cap is hit."""
     m, n = data.shape
     start = init_factors(m, n, k, data, seed)
     basis = np.array(start.basis)
@@ -277,7 +282,7 @@ def _run_multiplicative(data, k, options, seed):
     converged = False
     iterations = 0
     for t in range(1, options.max_iterations + 1):
-        basis, coef = mu_step(data, basis, coef, options)
+        basis, coef = step(data, basis, coef, options)
         rec.add(t, basis, coef, options)
         iterations = t
         if _window_stop(rec.monitored(), options.window, options.tolerance):
@@ -287,22 +292,24 @@ def _run_multiplicative(data, k, options, seed):
         basis=basis,
         coefficients=coef,
         rank=k,
-        objective=frobenius_objective(data, basis, coef),
+        objective=rec.objective[-1],
         iterations=iterations,
         converged=converged,
     )
     return pair, rec.trace()
 
 
-def _best_of_restarts(data, k, options, run_one, key):
+def _best_of_restarts(data, k, options, step):
+    # keeps the lowest final monitored value, earliest restart on ties
+    data = _validate_problem(data, k)
     best = None
-    best_key = None
+    best_value = None
     for r in range(options.restarts):
-        pair, trace = run_one(data, k, options, options.seed + r)
-        candidate = key(pair, trace)
-        if best is None or candidate < best_key:
+        pair, trace = _run(data, k, options, options.seed + r, step)
+        value = (trace.objective if trace.penalized is None else trace.penalized)[-1]
+        if best is None or value < best_value:
             best = (pair, trace)
-            best_key = candidate
+            best_value = value
     return best
 
 
@@ -319,10 +326,7 @@ def nmf_multiplicative(data, k, options=None):
         options = SolverOptions()
     if options.ortho_mode != "none":
         options = replace(options, ortho_mode="none")
-    data = _validate_problem(data, k)
-    return _best_of_restarts(
-        data, k, options, _run_multiplicative, key=lambda pair, trace: pair.objective
-    )
+    return _best_of_restarts(data, k, options, mu_step)
 
 
 def nmf_orthogonal(data, k, options):
@@ -338,11 +342,7 @@ def nmf_orthogonal(data, k, options):
         raise ValueError("nmf_orthogonal requires ortho_mode in "
                          "{rows_of_C, cols_of_B, both}; use nmf_multiplicative "
                          "for the unpenalized problem")
-    data = _validate_problem(data, k)
-    return _best_of_restarts(
-        data, k, options, _run_multiplicative,
-        key=lambda pair, trace: float(trace.penalized[-1]),
-    )
+    return _best_of_restarts(data, k, options, mu_step)
 
 
 @dataclass(frozen=True)
@@ -374,65 +374,18 @@ class NnlsProblem:
         object.__setattr__(self, "target", target)
 
 
-def _nnls_kernel(design, target, swap_limit):
-    """Lawson-Hanson active set iteration.
+def _nnls_kernel(design, target):
+    """Lawson-Hanson active-set solve by ``scipy.optimize.nnls``.
 
-    Returns the optimal coefficient vector.  ``swap_limit`` caps the total
-    number of active-set changes (insertions plus releases); exceeding it
-    raises ConvergenceError carrying the best iterate seen.
+    Its cap of 3k iterations for k unknowns raises ConvergenceError
+    carrying the zero vector, which is feasible.
     """
-    m, k = design.shape
-    c = np.zeros(k)
-    passive = np.zeros(k, dtype=bool)
-    # dual feasibility tolerance, scaled to the data magnitude
-    scale = max(1.0, float(np.abs(design).max())) * max(1.0, float(np.abs(target).max()))
-    tol = 10.0 * np.finfo(np.float64).eps * max(m, k) * scale
-    best_c = c.copy()
-    best_obj = 0.5 * float(target @ target)
-    swaps = 0
-    while True:
-        w = design.T @ (target - design @ c)
-        w[passive] = -np.inf
-        if passive.all() or float(w.max()) <= tol:
-            return c
-        j = int(np.argmax(w))
-        passive[j] = True
-        swaps += 1
-        if swaps > swap_limit:
-            raise ConvergenceError(
-                f"active-set limit of {swap_limit} swaps exceeded", best=best_c
-            )
-        while True:
-            z, *_ = np.linalg.lstsq(design[:, passive], target, rcond=None)
-            if z.size and float(z.min()) > 0.0:
-                c = np.zeros(k)
-                c[passive] = z
-                break
-            cp = c[passive]
-            neg = z <= 0.0
-            steps = cp[neg] / (cp[neg] - z[neg])
-            alpha = float(steps.min())
-            moved = cp + alpha * (z - cp)
-            moved[moved <= tol] = 0.0
-            c = np.zeros(k)
-            c[passive] = moved
-            release = np.flatnonzero(passive)[moved == 0.0]
-            if release.size == 0:
-                # numerically stalled step; force out the blocking variable
-                blocked = np.flatnonzero(passive)[neg]
-                release = blocked[[int(np.argmin(steps))]]
-            passive[release] = False
-            c[release] = 0.0
-            swaps += int(release.size)
-            if swaps > swap_limit:
-                raise ConvergenceError(
-                    f"active-set limit of {swap_limit} swaps exceeded", best=best_c
-                )
-        resid = target - design @ c
-        obj = 0.5 * float(resid @ resid)
-        if obj < best_obj:
-            best_obj = obj
-            best_c = c.copy()
+    try:
+        return nnls(design, target)[0]
+    except RuntimeError as exc:
+        raise ConvergenceError(
+            f"NNLS did not terminate: {exc}", best=np.zeros(design.shape[1])
+        ) from None
 
 
 def nnls_solve(problem, target=None):
@@ -440,14 +393,14 @@ def nnls_solve(problem, target=None):
 
     Accepts either an NnlsProblem or a (design, target) pair.  The result
     satisfies the KKT conditions: g = design^T (design @ c - target) has
-    g_i >= -1e-8 everywhere and |c_i * g_i| <= 1e-8.
+    g_i >= -1e-8 everywhere and |c_i * g_i| <= 1e-8.  Raises
+    ConvergenceError if the solver hits its iteration cap.
     """
     if target is not None:
         problem = NnlsProblem(problem, target)
     elif not isinstance(problem, NnlsProblem):
         raise ShapeError("nnls_solve expects an NnlsProblem or (design, target)")
-    k = problem.design.shape[1]
-    return _nnls_kernel(problem.design, problem.target, swap_limit=3 * k)
+    return _nnls_kernel(problem.design, problem.target)
 
 
 def anls_coefficient_step(data, basis):
@@ -461,7 +414,7 @@ def anls_coefficient_step(data, basis):
     k = basis.shape[1]
     coef = np.empty((k, data.shape[1]))
     for j in range(data.shape[1]):
-        coef[:, j] = _nnls_kernel(basis, data[:, j], swap_limit=3 * k)
+        coef[:, j] = _nnls_kernel(basis, data[:, j])
     return coef
 
 
@@ -478,36 +431,13 @@ def anls_basis_step(data, coef):
     design = np.ascontiguousarray(coef.T)
     basis = np.empty((data.shape[0], k))
     for i in range(data.shape[0]):
-        basis[i, :] = _nnls_kernel(design, data[i, :], swap_limit=3 * k)
+        basis[i, :] = _nnls_kernel(design, data[i, :])
     return basis
 
 
-def _run_anls(data, k, options, seed):
-    m, n = data.shape
-    start = init_factors(m, n, k, data, seed)
-    basis = np.array(start.basis)
-    coef = np.array(start.coefficients)
-    rec = _Recorder(data, penalized=False)
-    rec.add(0, basis, coef, options)
-    converged = False
-    iterations = 0
-    for t in range(1, options.max_iterations + 1):
-        coef = anls_coefficient_step(data, basis)
-        basis = anls_basis_step(data, coef)
-        rec.add(t, basis, coef, options)
-        iterations = t
-        if _window_stop(rec.objective, options.window, options.tolerance):
-            converged = True
-            break
-    pair = FactorPair(
-        basis=basis,
-        coefficients=coef,
-        rank=k,
-        objective=frobenius_objective(data, basis, coef),
-        iterations=iterations,
-        converged=converged,
-    )
-    return pair, rec.trace()
+def _anls_sweep(data, basis, coef, options):
+    coef = anls_coefficient_step(data, basis)
+    return anls_basis_step(data, coef), coef
 
 
 def nmf_anls(data, k, options=None):
@@ -519,7 +449,6 @@ def nmf_anls(data, k, options=None):
     """
     if options is None:
         options = SolverOptions()
-    data = _validate_problem(data, k)
-    return _best_of_restarts(
-        data, k, options, _run_anls, key=lambda pair, trace: pair.objective
-    )
+    if options.ortho_mode != "none":
+        options = replace(options, ortho_mode="none")
+    return _best_of_restarts(data, k, options, _anls_sweep)

@@ -107,6 +107,25 @@ def test_jacobi_reconstruction_and_orthogonality():
         assert values == pytest.approx(np.linalg.eigvalsh(w)[::-1], abs=1e-8)
 
 
+def test_jacobi_zero_and_one_by_one():
+    values, vecs = jacobi_eigen(np.zeros((3, 3)))
+    assert np.array_equal(values, np.zeros(3))
+    assert np.abs(vecs.T @ vecs - np.eye(3)).max() <= 1e-12
+    values, vecs = jacobi_eigen(np.array([[2.5]]))
+    assert np.array_equal(values, [2.5])
+    assert np.array_equal(np.abs(vecs), [[1.0]])
+
+
+def test_jacobi_repeated_eigenvalue():
+    # eigenvalues 4, 1, 1: any orthonormal basis of the 1-eigenspace will do
+    w = np.full((3, 3), 1.0) + np.eye(3)
+    values, vecs = jacobi_eigen(w)
+    assert values == pytest.approx([4.0, 1.0, 1.0], abs=1e-12)
+    assert np.abs(vecs.T @ vecs - np.eye(3)).max() <= 1e-12
+    assert np.abs(w @ vecs - vecs * values).max() <= 1e-12
+    assert np.abs(vecs[:, 0]) == pytest.approx(np.full(3, 3 ** -0.5), abs=1e-12)
+
+
 def test_jacobi_rejects_asymmetric():
     with pytest.raises(DomainError, match="asymmetric"):
         jacobi_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -112,6 +112,14 @@ def test_mm_parse_errors(tmp_path):
     with pytest.raises(ParseError, match="promises 2 entries, file has 1"):
         read_matrix_market(wrong_count)
 
+    duplicate = tmp_path / "d.mtx"
+    duplicate.write_text(
+        "%%MatrixMarket matrix coordinate real general\n% note\n2 2 3\n"
+        "1 2 1.0\n2 2 4.0\n1 2 2.0\n"
+    )
+    with pytest.raises(ParseError, match=r"d\.mtx:6: duplicate entry \(1, 2\), first given on line 4"):
+        read_matrix_market(duplicate)
+
     non_numeric = tmp_path / "x.mtx"
     non_numeric.write_text(
         "%%MatrixMarket matrix array real general\n1 2\n1.0\nfoo\n"

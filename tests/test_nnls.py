@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from nmfcluster.errors import DomainError, ShapeError
+from nmfcluster import solvers
+from nmfcluster.errors import ConvergenceError, DomainError, ShapeError
 from nmfcluster.solvers import NnlsProblem, nnls_solve
 
 from oracles import nnls_enumerate
@@ -77,6 +78,19 @@ def test_two_argument_call_form():
     a = nnls_solve(design, np.array([1.0, 0.0]))
     b = nnls_solve(NnlsProblem(design, np.array([1.0, 0.0])))
     assert np.array_equal(a, b)
+
+
+def test_iteration_cap_raises_convergence_error_with_feasible_best(monkeypatch):
+    def capped(design, target):
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    monkeypatch.setattr(solvers, "nnls", capped)
+    design = np.array([[2.0, 1.0, 0.5], [1.0, 2.0, 0.5]])
+    with pytest.raises(ConvergenceError, match="iterations") as info:
+        nnls_solve(design, np.array([1.0, 0.0]))
+    best = info.value.best
+    assert best.shape == (3,)
+    assert np.all(best >= 0.0)
 
 
 def test_problem_validation():

@@ -228,6 +228,21 @@ def test_mu_trace_consistent_with_final_pair():
     assert trace.penalized is None
 
 
+@pytest.mark.parametrize("solver, opts", [
+    (nmf_multiplicative, SolverOptions(seed=2, max_iterations=50)),
+    (nmf_orthogonal, SolverOptions(seed=2, max_iterations=50, ortho_mode="both",
+                                   penalty=0.3)),
+    (nmf_anls, SolverOptions(seed=2, max_iterations=20)),
+])
+def test_pair_objective_is_last_traced_objective(solver, opts):
+    rng = np.random.default_rng(22)
+    a = rng.random((7, 6))
+    pair, trace = solver(a, 2, opts)
+    assert pair.objective == trace.objective[-1]
+    # the trace squares B C - A, frobenius_objective A - B C: same bits
+    assert pair.objective == frobenius_objective(a, pair.basis, pair.coefficients)
+
+
 def test_mu_bit_deterministic():
     rng = np.random.default_rng(30)
     a = rng.random((8, 6))
@@ -357,6 +372,22 @@ def test_ortho_penalized_trace_is_objective_plus_penalty():
     expected = pair.objective + penalty_value(pair.basis, pair.coefficients, opts)
     assert trace.penalized[-1] == pytest.approx(expected, rel=1e-12)
     assert np.all(trace.penalized >= trace.objective - 1e-12)
+
+
+def test_ortho_restarts_pick_lowest_penalized_value():
+    rng = np.random.default_rng(42)
+    a = rng.random((9, 7))
+    opts = dict(max_iterations=60, ortho_mode="rows_of_C", penalty=0.5)
+    singles = [nmf_orthogonal(a, 3, SolverOptions(seed=s, **opts)) for s in (10, 11, 12)]
+    penalized = [float(trace.penalized[-1]) for _, trace in singles]
+    raw = [pair.objective for pair, _ in singles]
+    # on this instance the penalized and the raw objective pick different starts
+    assert np.argmin(penalized) != np.argmin(raw)
+    best, trace = nmf_orthogonal(a, 3, SolverOptions(seed=10, restarts=3, **opts))
+    winner, _ = singles[int(np.argmin(penalized))]
+    assert trace.penalized[-1] == min(penalized)
+    assert np.array_equal(best.basis, winner.basis)
+    assert np.array_equal(best.coefficients, winner.coefficients)
 
 
 def test_ortho_penalty_reduces_row_gram_deviation():
