@@ -290,7 +290,9 @@ def _build_parser():
     p.add_argument("--labels", default=None, help="planted item labels")
     p.add_argument("--feature-labels", default=None)
     p.add_argument("--trace", action="store_true",
-                   help="include the per-iteration trace in the report")
+                   help="include the trace in the report: the objective at "
+                        "every iteration, the KKT and Gram diagnostics every "
+                        "10 iterations and at the final point")
     p.add_argument("--out", default=None, help="report path (default: stdout)")
     p.set_defaults(func=cmd_factorize)
 

@@ -150,6 +150,16 @@ def _frozen(a):
     return out
 
 
+def _index(values, name):
+    it = np.array(values, dtype=np.int64, copy=True)
+    if it.ndim != 1 or it.size == 0:
+        raise ShapeError(f"{name} must hold at least the initial record")
+    if it[0] != 0 or np.any(np.diff(it) <= 0):
+        raise ShapeError(f"{name} indices must increase strictly from 0")
+    it.flags.writeable = False
+    return it
+
+
 @dataclass(frozen=True)
 class FactorPair:
     """A factorization result: nonnegative basis and coefficients plus the
@@ -192,10 +202,14 @@ class ConvergenceTrace:
 
     Index 0 is the initial point, before any update.  ``objective`` is the
     raw J; when a solver minimizes a penalized surrogate the surrogate's
-    values appear in ``penalized`` (otherwise None).  ``basis_offdiag`` and
-    ``coef_offdiag`` are the raw off-diagonal Gram energies: the sum of
-    squared inner products between distinct basis columns and distinct
-    coefficient rows, without normalization.
+    values appear in ``penalized`` (otherwise None).  Both are indexed by
+    ``iteration``.  The diagnostics ``kkt_basis``, ``kkt_coef``,
+    ``basis_offdiag`` and ``coef_offdiag`` are indexed by
+    ``diagnostic_iteration``, a subset of ``iteration`` that holds its
+    first and last entries; it defaults to ``iteration`` itself.
+    ``basis_offdiag`` and ``coef_offdiag`` are the raw off-diagonal Gram
+    energies: the sum of squared inner products between distinct basis
+    columns and distinct coefficient rows, without normalization.
     """
 
     iteration: np.ndarray
@@ -205,35 +219,34 @@ class ConvergenceTrace:
     basis_offdiag: np.ndarray
     coef_offdiag: np.ndarray
     penalized: np.ndarray | None = field(default=None)
+    diagnostic_iteration: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
-        it = np.asarray(self.iteration, dtype=np.int64)
+        it = _index(self.iteration, "iteration")
+        diag = it if self.diagnostic_iteration is None else _index(
+            self.diagnostic_iteration, "diagnostic_iteration")
+        if diag[-1] != it[-1] or not np.isin(diag, it).all():
+            raise ShapeError("diagnostic_iteration must be a subset of iteration "
+                             "ending at its last entry")
         series = {
-            "objective": self.objective,
-            "kkt_basis": self.kkt_basis,
-            "kkt_coef": self.kkt_coef,
-            "basis_offdiag": self.basis_offdiag,
-            "coef_offdiag": self.coef_offdiag,
+            "objective": (self.objective, it),
+            "kkt_basis": (self.kkt_basis, diag),
+            "kkt_coef": (self.kkt_coef, diag),
+            "basis_offdiag": (self.basis_offdiag, diag),
+            "coef_offdiag": (self.coef_offdiag, diag),
         }
         if self.penalized is not None:
-            series["penalized"] = self.penalized
-        if it.ndim != 1 or it.size == 0:
-            raise ShapeError("trace must hold at least the initial record")
-        if it[0] != 0 or np.any(np.diff(it) <= 0):
-            raise ShapeError("iteration indices must increase strictly from 0")
-        for name, values in series.items():
+            series["penalized"] = (self.penalized, it)
+        for name, (values, index) in series.items():
             v = np.asarray(values, dtype=np.float64)
-            if v.shape != it.shape:
+            if v.shape != index.shape:
                 raise ShapeError(f"trace field {name} has shape {v.shape}, "
-                                 f"expected {it.shape}")
+                                 f"expected {index.shape}")
             if not np.isfinite(v).all():
                 raise DomainError(f"trace field {name} has non-finite values")
-            frozen = v.copy()
-            frozen.flags.writeable = False
-            object.__setattr__(self, name, frozen)
-        it = it.copy()
-        it.flags.writeable = False
+            object.__setattr__(self, name, _frozen(v))
         object.__setattr__(self, "iteration", it)
+        object.__setattr__(self, "diagnostic_iteration", diag)
 
     def __len__(self):
         return int(self.iteration.size)

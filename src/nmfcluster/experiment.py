@@ -55,7 +55,7 @@ __all__ = [
     "summary_rows_to_csv",
 ]
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 SOLVERS = ("mu", "anls", "ortho")
 
@@ -92,6 +92,7 @@ def _trace_dict(trace):
     out = {
         "iteration": trace.iteration.tolist(),
         "objective": trace.objective.tolist(),
+        "diagnostic_iteration": trace.diagnostic_iteration.tolist(),
         "kkt_basis": trace.kkt_basis.tolist(),
         "kkt_coef": trace.kkt_coef.tolist(),
         "basis_offdiag": trace.basis_offdiag.tolist(),

@@ -57,6 +57,9 @@ __all__ = [
 
 ORTHO_MODES = ("none", "rows_of_C", "cols_of_B", "both")
 
+# iterations between two records of the KKT norms and Gram energies
+DIAGNOSTIC_STRIDE = 10
+
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -155,6 +158,11 @@ def mu_step(data, basis, coef, options=None):
     if options is None:
         options = SolverOptions()
     data, basis, coef = _conforming(data, basis, coef)
+    return _mu_update(data, basis, coef, options)
+
+
+def _mu_update(data, basis, coef, options):
+    # mu_step without validation, for the solvers' loop
     eps = options.epsilon_guard
     lam = options.effective_penalty
     mode = options.ortho_mode
@@ -204,12 +212,18 @@ def _gram_offdiag(gram):
 
 
 class _Recorder:
-    """Accumulates the per-iteration trace of one solver run."""
+    """Accumulates the trace of one solver run.
+
+    The objective (and the penalized value) is recorded on every
+    iteration; the KKT norms and Gram off-diagonal energies every
+    DIAGNOSTIC_STRIDE iterations, and by ``finish`` at the final one.
+    """
 
     def __init__(self, data, penalized):
         self.data = data
         self.iteration = []
         self.objective = []
+        self.diagnostic_iteration = []
         self.kkt_basis = []
         self.kkt_coef = []
         self.basis_offdiag = []
@@ -219,17 +233,26 @@ class _Recorder:
     def add(self, t, basis, coef, options):
         residual = basis @ coef - self.data
         obj = 0.5 * float(np.vdot(residual, residual))
-        gb = residual @ coef.T
-        gc = basis.T @ residual
         self.iteration.append(t)
         self.objective.append(obj)
+        if self.penalized is not None:
+            self.penalized.append(obj + penalty_value(basis, coef, options))
+        if t % DIAGNOSTIC_STRIDE == 0:
+            self._diagnose(t, basis, coef, residual)
+
+    def finish(self, basis, coef):
+        t = self.iteration[-1]
+        if self.diagnostic_iteration[-1] != t:
+            self._diagnose(t, basis, coef, basis @ coef - self.data)
+
+    def _diagnose(self, t, basis, coef, residual):
+        gb = residual @ coef.T
+        gc = basis.T @ residual
+        self.diagnostic_iteration.append(t)
         self.kkt_basis.append(float(np.linalg.norm(np.minimum(basis, gb))))
         self.kkt_coef.append(float(np.linalg.norm(np.minimum(coef, gc))))
         self.basis_offdiag.append(_gram_offdiag(basis.T @ basis))
         self.coef_offdiag.append(_gram_offdiag(coef @ coef.T))
-        if self.penalized is not None:
-            self.penalized.append(obj + penalty_value(basis, coef, options))
-        return obj
 
     def monitored(self):
         return self.objective if self.penalized is None else self.penalized
@@ -243,6 +266,7 @@ class _Recorder:
             basis_offdiag=np.asarray(self.basis_offdiag),
             coef_offdiag=np.asarray(self.coef_offdiag),
             penalized=None if self.penalized is None else np.asarray(self.penalized),
+            diagnostic_iteration=np.asarray(self.diagnostic_iteration),
         )
 
 
@@ -288,6 +312,7 @@ def _run(data, k, options, seed, step):
         if _window_stop(rec.monitored(), options.window, options.tolerance):
             converged = True
             break
+    rec.finish(basis, coef)
     pair = FactorPair(
         basis=basis,
         coefficients=coef,
@@ -326,7 +351,7 @@ def nmf_multiplicative(data, k, options=None):
         options = SolverOptions()
     if options.ortho_mode != "none":
         options = replace(options, ortho_mode="none")
-    return _best_of_restarts(data, k, options, mu_step)
+    return _best_of_restarts(data, k, options, _mu_update)
 
 
 def nmf_orthogonal(data, k, options):
@@ -342,7 +367,7 @@ def nmf_orthogonal(data, k, options):
         raise ValueError("nmf_orthogonal requires ortho_mode in "
                          "{rows_of_C, cols_of_B, both}; use nmf_multiplicative "
                          "for the unpenalized problem")
-    return _best_of_restarts(data, k, options, mu_step)
+    return _best_of_restarts(data, k, options, _mu_update)
 
 
 @dataclass(frozen=True)

@@ -217,3 +217,21 @@ def test_convergence_trace_validation():
         ConvergenceTrace(**{**good, "objective": [3.0, 2.0]})
     with pytest.raises(DomainError):
         ConvergenceTrace(**{**good, "kkt_coef": [1.0, np.inf, 0.1]})
+
+    assert trace.diagnostic_iteration.tolist() == [0, 1, 2]
+    strided = dict(
+        good,
+        iteration=[0, 1, 2, 3],
+        objective=[3.0, 2.0, 1.5, 1.0],
+        diagnostic_iteration=[0, 2, 3],
+    )
+    trace = ConvergenceTrace(**strided)
+    assert len(trace) == 4
+    assert trace.diagnostic_iteration.tolist() == [0, 2, 3]
+    with pytest.raises(ShapeError):
+        ConvergenceTrace(**{**strided, "kkt_basis": [1.0, 0.5]})
+    with pytest.raises(ShapeError):
+        ConvergenceTrace(**{**strided, "diagnostic_iteration": [0, 1, 2]})
+    with pytest.raises(ShapeError):
+        ConvergenceTrace(**{**strided, "iteration": [0, 1, 3, 4],
+                            "diagnostic_iteration": [0, 2, 4]})

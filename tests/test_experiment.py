@@ -55,7 +55,7 @@ def _small_report(**kwargs):
 
 def test_report_shape_and_serializability():
     report = _small_report()
-    assert report["schema_version"] == SCHEMA_VERSION == "1"
+    assert report["schema_version"] == SCHEMA_VERSION == "2"
     assert report["solver"] == "mu"
     assert report["rank"] == 2
     assert isinstance(report["basis"], list)
@@ -76,6 +76,8 @@ def test_report_trace_is_opt_in():
     assert trace["iteration"][0] == 0
     assert len(trace["objective"]) == with_trace["iterations"] + 1
     assert "penalized" not in trace
+    assert len(trace["kkt_basis"]) == len(trace["diagnostic_iteration"])
+    assert trace["diagnostic_iteration"][-1] == with_trace["iterations"]
 
 
 def test_missing_labels_give_none_metrics():

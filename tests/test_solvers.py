@@ -146,6 +146,20 @@ def test_mu_step_preserves_zeros():
     assert nb[2, 1] == 0.0
 
 
+def test_mu_step_validates_its_inputs():
+    rng = np.random.default_rng(3)
+    a = rng.random((4, 5))
+    b = rng.random((4, 2))
+    c = rng.random((2, 5))
+    with pytest.raises(ShapeError):
+        mu_step(a, b, c[:, :4])
+    with pytest.raises(ShapeError):
+        mu_step(a, b[:3], c)
+    b[1, 0] = np.nan
+    with pytest.raises(DomainError):
+        mu_step(a, b, c)
+
+
 def test_mu_step_penalized_matches_written_form():
     """One penalized step recomputed longhand, both penalty sides."""
     rng = np.random.default_rng(4)
@@ -226,6 +240,22 @@ def test_mu_trace_consistent_with_final_pair():
         offdiag_energy(np.asarray(pair.coefficients), "rows"), rel=1e-10, abs=1e-12
     )
     assert trace.penalized is None
+
+
+@pytest.mark.parametrize("solver", [nmf_multiplicative, nmf_anls])
+def test_trace_diagnostics_on_a_stride(solver):
+    """KKT and Gram diagnostics every 10 iterations and at the final one."""
+    a = np.random.default_rng(23).random((9, 7))
+    pair, trace = solver(a, 3, SolverOptions(seed=4))
+    assert pair.converged and pair.iterations > 20 and pair.iterations % 10 != 0
+    expected = list(range(0, pair.iterations, 10)) + [pair.iterations]
+    assert trace.diagnostic_iteration.tolist() == expected
+    assert trace.iteration.tolist() == list(range(pair.iterations + 1))
+    _, capped = solver(a, 3, SolverOptions(seed=4, max_iterations=20))
+    assert capped.diagnostic_iteration.tolist() == [0, 10, 20]
+    at_20 = expected.index(20)
+    for name in ("kkt_basis", "kkt_coef", "basis_offdiag", "coef_offdiag"):
+        assert getattr(trace, name)[at_20] == getattr(capped, name)[-1], name
 
 
 @pytest.mark.parametrize("solver, opts", [
