@@ -34,7 +34,7 @@ class KmeansOptions:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.tolerance < 0.0:
+        if not self.tolerance >= 0.0:
             raise ValueError(f"tolerance must be >= 0, got {self.tolerance}")
 
 

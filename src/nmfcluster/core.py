@@ -117,11 +117,22 @@ def kkt_residual(data, basis, coef):
     tuple; both are zero exactly at a KKT point.
     """
     data, basis, coef = _conforming(data, basis, coef)
-    gb = (basis @ coef - data) @ coef.T
-    gc = basis.T @ (basis @ coef - data)
-    rb = np.minimum(basis, gb)
-    rc = np.minimum(coef, gc)
-    return float(np.linalg.norm(rb)), float(np.linalg.norm(rc))
+    return _kkt_norms(basis, coef, basis @ coef - data)
+
+
+def _kkt_norms(basis, coef, residual):
+    # kkt_residual's norms given residual = basis @ coef - data, unvalidated
+    gb = residual @ coef.T
+    gc = basis.T @ residual
+    return (float(np.linalg.norm(np.minimum(basis, gb))),
+            float(np.linalg.norm(np.minimum(coef, gc))))
+
+
+def _offdiag_energy(gram):
+    # sum of the squared off-diagonal entries of a Gram matrix
+    off = gram.copy()
+    np.fill_diagonal(off, 0.0)
+    return float(np.vdot(off, off))
 
 
 def normalize_factors(basis, coef):

@@ -9,15 +9,14 @@ re-evaluates to the same numbers exactly.
 
 ``evaluate_report`` recomputes every metric from a report's stored
 factors (reloading or regenerating the data named by its input
-descriptor) and ``run_sweep`` fans one experiment grid out over a thread
-pool, one report per (solver, seed, lambda) cell plus a deterministic
-summary table.
+descriptor) and ``run_sweep`` runs one experiment grid serially, one
+report per (solver, seed, lambda) cell plus a deterministic summary
+table.
 """
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 
@@ -357,21 +356,6 @@ def evaluate_report(report, item_labels=None, feature_labels=None):
     return out
 
 
-def _thread_cap():
-    raw = os.environ.get("NMF_CLUSTER_THREADS", "").strip()
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise SpecError(
-                f"NMF_CLUSTER_THREADS must be an integer, got {raw!r}"
-            ) from None
-        if value < 1:
-            raise SpecError(f"NMF_CLUSTER_THREADS must be >= 1, got {value}")
-        return value
-    return os.cpu_count() or 1
-
-
 def _sweep_cell(spec, solver, seed, lam, base_options):
     cell_spec = replace(spec, seed=seed)
     data, items, features = generate(cell_spec)
@@ -394,14 +378,15 @@ def _sweep_cell(spec, solver, seed, lam, base_options):
     return report
 
 
-def run_sweep(spec, solvers, seeds, lambdas, base_options=None, max_workers=None):
-    """Run the (solver, seed, lambda) grid, in parallel, deterministically.
+def run_sweep(spec, solvers, seeds, lambdas, base_options=None):
+    """Run the (solver, seed, lambda) grid serially and deterministically.
 
     Every cell regenerates its dataset with the cell's seed (which also
-    seeds the solver) so cells are independent.  Returns the reports in a
-    fixed (solver, seed, lambda) sort order regardless of scheduling.
-    ``max_workers`` defaults to the NMF_CLUSTER_THREADS environment
-    variable, falling back to the machine's CPU count.
+    seeds the solver) so cells are independent.  Returns one report per
+    cell in (solver, seed, lambda) sort order.  Lambda reaches only the
+    ortho solver, so a mu or anls run is computed once per seed and its
+    report repeated for each lambda, differing only in ``lambda``; the
+    repeated reports share their nested lists.
     """
     if base_options is None:
         base_options = SolverOptions()
@@ -417,31 +402,14 @@ def run_sweep(spec, solvers, seeds, lambdas, base_options=None, max_workers=None
     for solver in solvers:
         if solver not in SOLVERS:
             raise SpecError(f"unknown solver {solver!r}; choose from {SOLVERS}")
-    cells = [
-        (solver, seed, lam)
-        for solver in solvers
-        for seed in seeds
-        for lam in lambdas
-    ]
-    workers = max_workers if max_workers is not None else _thread_cap()
-    workers = max(1, min(workers, len(cells)))
-    if workers == 1:
-        reports = [
-            _sweep_cell(spec, solver, seed, lam, base_options)
-            for solver, seed, lam in cells
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(
-                pool.map(
-                    lambda cell: _sweep_cell(spec, *cell, base_options),
-                    cells,
-                )
-            )
-    order = sorted(
-        range(len(cells)), key=lambda i: (cells[i][0], cells[i][1], cells[i][2])
-    )
-    return [reports[i] for i in order]
+    runs = {}
+    reports = []
+    for solver, seed, lam in sorted(product(solvers, seeds, lambdas)):
+        key = (solver, seed, lam if solver == "ortho" else None)
+        if key not in runs:
+            runs[key] = _sweep_cell(spec, solver, seed, lam, base_options)
+        reports.append({**runs[key], "lambda": lam})
+    return reports
 
 
 def summary_rows_to_csv(reports):

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .affinity import weights_array
-from .core import as_matrix, require_nonnegative
+from .core import as_matrix, require_nonnegative, _offdiag_energy
 from .errors import DegenerateFactorError, DomainError, ShapeError, SizeLimitError
 
 __all__ = [
@@ -213,9 +213,7 @@ def orthogonality_deviation(factor, axis="columns"):
     else:
         raise DomainError(f"axis must be 'columns' or 'rows', got {axis!r}")
     diag = np.diagonal(gram).copy()
-    off = gram.copy()
-    np.fill_diagonal(off, 0.0)
-    raw = float(np.vdot(off, off))
+    raw = _offdiag_energy(gram)
     p = gram.shape[0]
     if p == 1:
         return 0.0, 0.0

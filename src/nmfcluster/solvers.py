@@ -31,6 +31,8 @@ from .core import (
     frobenius_objective,
     require_nonnegative,
     _conforming,
+    _kkt_norms,
+    _offdiag_energy,
 )
 from .errors import (
     ConvergenceError,
@@ -85,22 +87,23 @@ class SolverOptions:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not self.tolerance > 0.0:
-            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
+        if not 0.0 < self.tolerance < np.inf:
+            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if not self.epsilon_guard > 0.0:
-            raise ValueError(f"epsilon_guard must be > 0, got {self.epsilon_guard}")
+        if not 0.0 < self.epsilon_guard < np.inf:
+            raise ValueError(
+                f"epsilon_guard must be finite and > 0, got {self.epsilon_guard}")
         if self.ortho_mode not in ORTHO_MODES:
             raise ValueError(
                 f"ortho_mode must be one of {ORTHO_MODES}, got {self.ortho_mode!r}"
             )
-        if self.penalty < 0.0:
-            raise ValueError(f"penalty must be >= 0, got {self.penalty}")
+        if not 0.0 <= self.penalty < np.inf:
+            raise ValueError(f"penalty must be finite and >= 0, got {self.penalty}")
 
     @property
     def effective_penalty(self):
@@ -205,12 +208,6 @@ def penalty_value(basis, coef, options):
     return 0.5 * lam * total
 
 
-def _gram_offdiag(gram):
-    off = gram.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.vdot(off, off))
-
-
 class _Recorder:
     """Accumulates the trace of one solver run.
 
@@ -246,13 +243,12 @@ class _Recorder:
             self._diagnose(t, basis, coef, basis @ coef - self.data)
 
     def _diagnose(self, t, basis, coef, residual):
-        gb = residual @ coef.T
-        gc = basis.T @ residual
+        kkt_b, kkt_c = _kkt_norms(basis, coef, residual)
         self.diagnostic_iteration.append(t)
-        self.kkt_basis.append(float(np.linalg.norm(np.minimum(basis, gb))))
-        self.kkt_coef.append(float(np.linalg.norm(np.minimum(coef, gc))))
-        self.basis_offdiag.append(_gram_offdiag(basis.T @ basis))
-        self.coef_offdiag.append(_gram_offdiag(coef @ coef.T))
+        self.kkt_basis.append(kkt_b)
+        self.kkt_coef.append(kkt_c)
+        self.basis_offdiag.append(_offdiag_energy(basis.T @ basis))
+        self.coef_offdiag.append(_offdiag_energy(coef @ coef.T))
 
     def monitored(self):
         return self.objective if self.penalized is None else self.penalized

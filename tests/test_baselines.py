@@ -24,6 +24,8 @@ def test_kmeans_options_validation():
         KmeansOptions(k=1, restarts=0)
     with pytest.raises(ValueError, match="tolerance"):
         KmeansOptions(k=1, tolerance=-1.0)
+    with pytest.raises(ValueError, match="tolerance"):
+        KmeansOptions(k=1, tolerance=float("nan"))
 
 
 def test_kmeans_separated_groups():

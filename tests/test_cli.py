@@ -151,6 +151,10 @@ def test_factorize_usage_errors(dataset, tmp_path, capsys):
                  "--ortho-mode", "rows_of_C"]) == 1
     assert "--solver ortho" in capsys.readouterr().err
 
+    assert main(["factorize", "--input", str(matrix), "--k", "2", "--solver", "ortho",
+                 "--ortho-mode", "rows_of_C", "--lambda", "nan"]) == 1
+    assert "penalty must be finite" in capsys.readouterr().err
+
 
 def test_factorize_missing_input(tmp_path, capsys):
     rc = main(["factorize", "--input", str(tmp_path / "absent.mtx"), "--k", "2"])

@@ -16,7 +16,8 @@ from nmfcluster.experiment import (
     run_sweep,
     summary_rows_to_csv,
 )
-from nmfcluster.experiment import _thread_cap
+from nmfcluster import experiment
+from nmfcluster.experiment import _sweep_cell
 from nmfcluster.solvers import SolverOptions
 
 
@@ -160,22 +161,49 @@ def _mask_seconds(csv_text):
 def test_sweep_grid_and_determinism():
     seeds = [0, 1]
     lambdas = [0.0, 0.5]
-    serial = run_sweep(SPEC, ["mu", "ortho"], seeds, lambdas,
-                       base_options=SolverOptions(ortho_mode="rows_of_C"),
-                       max_workers=1)
-    threaded = run_sweep(SPEC, ["mu", "ortho"], seeds, lambdas,
-                         base_options=SolverOptions(ortho_mode="rows_of_C"),
-                         max_workers=4)
-    assert len(serial) == 8
-    keys = [(r["solver"], r["seed"], r["lambda"]) for r in serial]
-    assert keys == sorted(keys)
-    assert _mask_seconds(summary_rows_to_csv(serial)) == _mask_seconds(
-        summary_rows_to_csv(threaded)
+    options = SolverOptions(ortho_mode="rows_of_C")
+    sweep = run_sweep(SPEC, ["mu", "ortho"], seeds, lambdas, base_options=options)
+    cells = sorted((solver, seed, lam) for solver in ("mu", "ortho")
+                   for seed in seeds for lam in lambdas)
+    reference = [_sweep_cell(SPEC, *cell, options) for cell in cells]
+    assert len(sweep) == 8
+    keys = [(r["solver"], r["seed"], r["lambda"]) for r in sweep]
+    assert keys == cells
+    assert _mask_seconds(summary_rows_to_csv(sweep)) == _mask_seconds(
+        summary_rows_to_csv(reference)
     )
+    for got, want in zip(sweep, reference):
+        got.pop("seconds")
+        want.pop("seconds")
+        assert got == want
+
+
+def test_sweep_runs_each_lambda_blind_cell_once(monkeypatch):
+    calls = {"mu": 0, "anls": 0, "ortho": 0}
+
+    def counting(solver, fn):
+        def wrapper(*args, **kwargs):
+            calls[solver] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(experiment, "nmf_multiplicative",
+                        counting("mu", experiment.nmf_multiplicative))
+    monkeypatch.setattr(experiment, "nmf_anls", counting("anls", experiment.nmf_anls))
+    monkeypatch.setattr(experiment, "nmf_orthogonal",
+                        counting("ortho", experiment.nmf_orthogonal))
+    reports = run_sweep(SPEC, ["mu", "anls", "ortho"], [0, 1], [0.0, 0.5, 1.0],
+                        base_options=SolverOptions(ortho_mode="rows_of_C"))
+    assert calls == {"mu": 2, "anls": 2, "ortho": 6}
+    assert len(reports) == 18
+    first = {(r["solver"], r["seed"]): r for r in reports if r["lambda"] == 0.0}
+    for rep in reports:
+        if rep["solver"] != "ortho":
+            assert {**rep, "lambda": 0.0} == first[(rep["solver"], rep["seed"])]
 
 
 def test_sweep_cell_matches_direct_run():
-    cell = run_sweep(SPEC, ["mu"], [3], [0.0], max_workers=1)[0]
+    cell = run_sweep(SPEC, ["mu"], [3], [0.0])[0]
     cell_spec = SyntheticSpec(kind=SPEC.kind, m=SPEC.m, n=SPEC.n, k=SPEC.k,
                               noise=SPEC.noise, seed=3)
     data, items, features = generate(cell_spec)
@@ -209,22 +237,3 @@ def test_summary_header_and_blank_none(monkeypatch):
     cells = lines[1].split(",")
     accuracy_col = SUMMARY_COLUMNS.index("accuracy")
     assert cells[accuracy_col] == ""  # unlabeled data leaves the field blank
-
-
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.setenv("NMF_CLUSTER_THREADS", "3")
-    assert _thread_cap() == 3
-    monkeypatch.setenv("NMF_CLUSTER_THREADS", "zero")
-    with pytest.raises(SpecError, match="integer"):
-        _thread_cap()
-    monkeypatch.setenv("NMF_CLUSTER_THREADS", "0")
-    with pytest.raises(SpecError, match=">= 1"):
-        _thread_cap()
-    monkeypatch.delenv("NMF_CLUSTER_THREADS")
-    assert _thread_cap() >= 1
-
-
-def test_thread_cap_error_surfaces_through_sweep(monkeypatch):
-    monkeypatch.setenv("NMF_CLUSTER_THREADS", "-2")
-    with pytest.raises(SpecError):
-        run_sweep(SPEC, ["mu"], [0], [0.0])

@@ -49,6 +49,12 @@ def test_options_validation():
         dict(epsilon_guard=0.0),
         dict(ortho_mode="sideways"),
         dict(penalty=-0.1),
+        dict(tolerance=float("inf")),
+        dict(tolerance=float("nan")),
+        dict(epsilon_guard=float("inf")),
+        dict(epsilon_guard=float("nan")),
+        dict(penalty=float("inf")),
+        dict(penalty=float("nan")),
     ):
         with pytest.raises(ValueError):
             SolverOptions(**bad)
