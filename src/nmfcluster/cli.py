@@ -150,13 +150,11 @@ def _parse_seeds(text):
 def cmd_gen(args):
     spec = _spec_from_args(args, args.seed)
     matrix, items, features = generate(spec)
+    if args.out_feature_labels and features is None:
+        raise _UsageError(f"kind {spec.kind!r} has no separate feature labels")
     write_matrix_market(args.out_matrix, matrix)
     write_labels(args.out_labels, items)
     if args.out_feature_labels:
-        if features is None:
-            raise _UsageError(
-                f"kind {spec.kind!r} has no separate feature labels"
-            )
         write_labels(args.out_feature_labels, features)
     print(json.dumps(spec.as_dict(), indent=2))
     return 0
@@ -229,9 +227,9 @@ def cmd_sweep(args):
     )
     os.makedirs(args.out, exist_ok=True)
     for rep in reports:
-        name = (
-            f"report_{rep['solver']}_seed{rep['seed']}_lam{rep['lambda']:g}.json"
-        )
+        lam = rep["lambda"]
+        tag = f"{lam:g}" if float(f"{lam:g}") == lam else repr(lam)  # one file each
+        name = f"report_{rep['solver']}_seed{rep['seed']}_lam{tag}.json"
         with open(os.path.join(args.out, name), "w", encoding="ascii") as fh:
             fh.write(json.dumps(rep, indent=2, default=_json_default) + "\n")
     summary_path = os.path.join(args.out, "summary.csv")

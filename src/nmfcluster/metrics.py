@@ -11,7 +11,6 @@ a factor's Gram matrix, matched accuracy, and NMI.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .affinity import weights_array
 from .core import as_matrix, require_nonnegative, _offdiag_energy
@@ -31,6 +30,7 @@ __all__ = [
 
 BRUTE_FORCE_MAX_N = 12
 MATCHING_MAX_K = 64
+LABELING_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -142,12 +142,27 @@ def ratio_association(affinity, partition):
     return total
 
 
+def _labelings(n, width):
+    """Canonical labelings of n elements in lexicographic order, in int8 blocks."""
+    stack = [np.zeros((1, 1), dtype=np.int8)]
+    while stack:
+        rows = stack.pop()
+        if rows.shape[1] == n:
+            yield rows
+            continue
+        # the next label is at most one above the largest so far
+        parent, label = np.nonzero(np.arange(width) <= rows.max(axis=1, keepdims=True) + 1)
+        grown = np.column_stack([rows[parent], label.astype(np.int8)])
+        cuts = range(LABELING_BLOCK, len(grown), LABELING_BLOCK)
+        stack.extend(reversed(np.split(grown, cuts)))
+
+
 def brute_force_ratio_assoc(affinity, n_clusters):
     """Exact RA maximizer over all partitions into at most n_clusters groups.
 
-    Enumerates canonical labelings (restricted growth strings) so label
-    permutations are visited once; among maximizers the lexicographically
-    smallest labeling wins.  Capped at n <= 12 elements.
+    Scores canonical labelings (restricted growth strings) block by block,
+    so label permutations are visited once; among maximizers the
+    lexicographically smallest labeling wins.  Capped at n <= 12 elements.
     """
     w = weights_array(affinity)
     n = w.shape[0]
@@ -158,36 +173,16 @@ def brute_force_ratio_assoc(affinity, n_clusters):
     if n_clusters < 1:
         raise DomainError(f"n_clusters must be >= 1, got {n_clusters}")
 
-    labels = np.zeros(n, dtype=np.int64)
-    members = [[] for _ in range(n_clusters)]
-    sums = np.zeros(n_clusters)
-    sizes = np.zeros(n_clusters, dtype=np.int64)
-    best_value = -np.inf
-    best_labels = None
-
-    def visit(i, used):
-        nonlocal best_value, best_labels
-        if i == n:
-            value = 0.0
-            for c in range(used):
-                value += sums[c] / sizes[c]
-            if value > best_value:
-                best_value = value
-                best_labels = labels.copy()
-            return
-        for c in range(min(used + 1, n_clusters)):
-            grown = w[i, i] + 2.0 * sum(w[i, j] for j in members[c])
-            kept = sums[c]
-            sums[c] = kept + grown
-            sizes[c] += 1
-            members[c].append(i)
-            labels[i] = c
-            visit(i + 1, max(used, c + 1))
-            members[c].pop()
-            sizes[c] -= 1
-            sums[c] = kept
-
-    visit(0, 0)
+    width = min(n_clusters, n)  # no label of n elements exceeds n - 1
+    best_value, best_labels = -np.inf, None
+    for labels in _labelings(n, width):
+        member = labels[:, :, None] == np.arange(width)
+        within = np.einsum("sic,ij,sjc->sc", member, w, member)
+        ratios = within / np.maximum(member.sum(axis=1), 1)
+        value = np.add.accumulate(ratios, axis=1)[:, -1]  # in label order
+        top = int(np.argmax(value))
+        if value[top] > best_value:
+            best_value, best_labels = value[top], labels[top]
     best = Partition(best_labels, n_clusters)
     # report the value through the same code path callers use for scoring
     return best, ratio_association(w, best)
@@ -245,6 +240,7 @@ def cluster_accuracy(pred, truth):
     so the score is invariant to label permutations of either side and
     symmetric in its arguments.  1.0 means identical up to relabeling.
     """
+    from scipy.optimize import linear_sum_assignment
     pred = as_partition(pred)
     truth = as_partition(truth)
     if pred.n_clusters > MATCHING_MAX_K or truth.n_clusters > MATCHING_MAX_K:

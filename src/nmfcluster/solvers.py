@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .core import (
     ConvergenceTrace,
@@ -393,6 +392,12 @@ class NnlsProblem:
         target.flags.writeable = False
         object.__setattr__(self, "design", design)
         object.__setattr__(self, "target", target)
+
+
+def nnls(design, target):
+    """``scipy.optimize.nnls``, imported on first call: it is slow to import."""
+    from scipy.optimize import nnls as lawson_hanson
+    return lawson_hanson(design, target)
 
 
 def _nnls_kernel(design, target):

@@ -1,9 +1,10 @@
-"""What bench/ relies on from the package: span names and one sweep round.
+"""What bench/ relies on from the package: span names, a sweep round, report ops.
 
 ``bench/tracing.py`` finds the functions it wraps by name, and
 ``bench/workloads.py`` checks every op's output.  A change that renames
-a function the benchmark reads, or alters a sweep's reports, breaks the
-benchmark without breaking any other test; these two tests catch that.
+a function the benchmark reads, or alters a sweep's or a report's output,
+breaks the benchmark without breaking any other test; these tests catch
+that.
 """
 
 import importlib
@@ -23,7 +24,8 @@ def bench(monkeypatch):
 
 def test_tracing_resolves_the_names_it_reads(bench):
     names = set(bench["tracing"].public_functions().values())
-    assert {"experiment.sweep_cell", "experiment.run_sweep", "cli.main"} <= names
+    assert {"experiment.sweep_cell", "experiment.run_sweep", "cli.main",
+            "metrics.brute_force_ratio_assoc"} <= names
 
 
 def test_one_traced_sweep_round_passes_its_check(bench, tmp_path):
@@ -42,3 +44,21 @@ def test_one_traced_sweep_round_passes_its_check(bench, tmp_path):
     table = tracing.span_table(tracer.spans(), tracer.names())
     assert table["experiment.run_sweep"]["calls"] == 1
     assert table["experiment.sweep_cell"]["calls"] > 0
+
+
+def test_report_oracle_ops_pass_their_check_with_six_oracle_calls(bench, tmp_path):
+    # the 11- and 12-vertex graphs, on which evaluation runs the RA oracle
+    tracing = bench["tracing"]
+    workload = bench["workloads"].Report(1, str(tmp_path))
+    for op in workload.round(0)[:2]:
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            workload.prepare()
+            printed = workload.run(op)
+            tracer.enabled = False
+            workload.check(op, printed)
+        finally:
+            tracer.uninstall()
+        table = tracing.span_table(tracer.spans(), tracer.names())
+        assert table["metrics.brute_force_ratio_assoc"]["calls"] == 6

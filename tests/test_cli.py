@@ -78,6 +78,23 @@ def test_gen_rejects_bad_rank(tmp_path, capsys):
     assert "k must be in" in capsys.readouterr().err
 
 
+def test_gen_refusal_writes_nothing(tmp_path, capsys):
+    matrix, labels = tmp_path / "a.mtx", tmp_path / "y.txt"
+    rc = main(
+        [
+            "gen",
+            "--kind", "mixture-docs",
+            "--m", "12", "--n", "10", "--k", "2",
+            "--out-matrix", str(matrix),
+            "--out-labels", str(labels),
+            "--out-feature-labels", str(tmp_path / "f.csv"),
+        ]
+    )
+    assert rc == 1
+    assert "has no separate feature labels" in capsys.readouterr().err
+    assert not matrix.exists() and not labels.exists()
+
+
 @pytest.fixture
 def dataset(tmp_path):
     subdir = tmp_path / "data"
@@ -254,6 +271,29 @@ def test_sweep_outputs(tmp_path, capsys):
     assert r1 == r2
 
 
+def test_sweep_lambdas_that_round_alike_get_their_own_files(tmp_path, capsys):
+    rc = main(
+        [
+            "sweep",
+            "--kind", "block-diagonal",
+            "--m", "8", "--n", "8", "--k", "2",
+            "--solvers", "mu", "ortho",
+            "--ortho-mode", "rows_of_C",
+            "--seeds", "0",
+            "--lambdas", "0.1", "0.1000001",
+            "--out", str(tmp_path),
+        ]
+    )
+    assert rc == 0
+    capsys.readouterr()
+    names = {p.name for p in tmp_path.iterdir()}
+    for solver in ("mu", "ortho"):
+        assert f"report_{solver}_seed0_lam0.1.json" in names
+        assert f"report_{solver}_seed0_lam0.1000001.json" in names
+    ortho = json.loads((tmp_path / "report_ortho_seed0_lam0.1000001.json").read_text())
+    assert ortho["lambda"] == 0.1000001
+
+
 def test_sweep_empty_seed_range(tmp_path, capsys):
     rc = main(
         [
@@ -319,3 +359,19 @@ def test_console_script_smoke(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["kind"] == "planted-graph"
     assert (tmp_path / "g.mtx").exists()
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    src = str(Path(nmfcluster.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, nmfcluster; print('scipy.optimize' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,5 +1,7 @@
 """Partitions, assignments, ratio association, deviations, accuracy, NMI."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,63 @@ def test_brute_force_beats_random_partitions():
     for trial in range(50):
         labels = rng.integers(0, 3, 9)
         assert ratio_association(w, Partition(labels, 3)) <= best + 1e-12
+
+
+def _first_maximizer_in_lex_order(w, k):
+    """The first canonical labeling, in lexicographic order, whose RA is
+    largest, scoring each as the sum over clusters, in label order, of
+    within-cluster weight / size."""
+    n = w.shape[0]
+    best_value, best_labels = -np.inf, None
+    for labels in itertools.product(range(min(k, n)), repeat=n):
+        if list(dict.fromkeys(labels)) != list(range(max(labels) + 1)):
+            continue  # not canonical: labels must first appear as 0, 1, 2, ...
+        value = 0.0
+        for c in range(max(labels) + 1):
+            idx = [i for i, label in enumerate(labels) if label == c]
+            value += float(w[np.ix_(idx, idx)].sum()) / len(idx)
+        if value > best_value:
+            best_value, best_labels = value, labels
+    return best_labels
+
+
+def test_brute_force_returns_first_maximizer_on_exact_ties():
+    # integer weights make every within-cluster sum exact, so tied
+    # partitions tie exactly and only the lexicographic rule separates them
+    rng = np.random.default_rng(27)
+    for n, k in itertools.product(range(1, 9), range(1, 5)):
+        half = np.triu(rng.integers(0, 3, (n, n)))
+        w = (half + np.triu(half, 1).T).astype(float)
+        part, value = brute_force_ratio_assoc(w, k)
+        want = _first_maximizer_in_lex_order(w, k)
+        assert tuple(part.labels) == want, (n, k, w)
+        assert part.n_clusters == k
+        assert value == ratio_association(w, part)
+    # ties that span many blocks of labelings: every partition of ones() has
+    # RA n, and on eye() every partition into k nonempty groups has RA k
+    part, _ = brute_force_ratio_assoc(np.ones((11, 11)), 3)
+    assert np.array_equal(part.labels, np.zeros(11))
+    part, _ = brute_force_ratio_assoc(np.eye(10), 4)
+    assert np.array_equal(part.labels, [0] * 7 + [1, 2, 3])
+
+
+def test_brute_force_near_tie_goes_to_the_larger_value():
+    # [0, 0, 1] beats the lexicographically smaller [0, 0, 0] by 1e-9 relative
+    w = np.ones((3, 3))
+    w[2, 2] += 4.5e-9
+    assert ratio_association(w, [0, 0, 1]) > ratio_association(w, [0, 0, 0])
+    part, value = brute_force_ratio_assoc(w, 2)
+    assert np.array_equal(part.labels, [0, 0, 1])
+    assert value == ratio_association(w, part)
+
+
+def test_brute_force_more_clusters_than_elements():
+    small, small_value = brute_force_ratio_assoc(np.ones((4, 4)), 4)
+    large, large_value = brute_force_ratio_assoc(np.ones((4, 4)), 200)
+    assert np.array_equal(large.labels, small.labels)
+    assert np.array_equal(large.labels, [0, 0, 0, 0])
+    assert large_value == small_value == 4.0
+    assert large.n_clusters == 200
 
 
 def test_brute_force_size_cap():
