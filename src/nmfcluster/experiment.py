@@ -195,7 +195,7 @@ def run_experiment(
         "input": source if source is not None else {"shape": list(data.shape)},
         "solver": solver,
         "options": _options_dict(options),
-        "rank": k,
+        "rank": pair.rank,
         "seed": options.seed,
         "objective": pair.objective,
         "iterations": pair.iterations,
@@ -273,7 +273,7 @@ def run_compare(
     comparison = {
         "schema_version": SCHEMA_VERSION,
         "input": source if source is not None else {"shape": list(data.shape)},
-        "rank": k,
+        "rank": nmf_report["rank"],
         "seed": options.seed,
         "nmf": nmf_report,
         "kmeans": {

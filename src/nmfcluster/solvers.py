@@ -12,11 +12,14 @@ nonnegative factors:
   solved exactly column by column by ``scipy.optimize.nnls``.
 
 All three run through one restart-and-stop driver that takes the
-per-iteration step as a function.  Every solver returns a
-(FactorPair, ConvergenceTrace) pair and is deterministic given
-(data, rank, options).
+per-iteration step as a function.  The driver runs all restarts as one
+stacked iteration, one step for the whole stack, with results equal to
+running them one at a time; every active restart is diagnosed on the
+stride.  Every solver returns a (FactorPair, ConvergenceTrace) pair and
+is deterministic given (data, rank, options).
 """
 
+import operator
 import warnings
 from dataclasses import dataclass, replace
 
@@ -62,6 +65,24 @@ ORTHO_MODES = ("none", "rows_of_C", "cols_of_B", "both")
 DIAGNOSTIC_STRIDE = 10
 
 
+def _as_int(value):
+    # value as an int, or None for a bool or a value that is not integral
+    try:
+        return None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        return None
+
+
+def _rank(k, m, n):
+    # k as an int; RankError unless it is an integer in [1, min(m, n)]
+    rank = _as_int(k)
+    if rank is None:
+        raise RankError(f"k must be an integer, got {k!r}")
+    if not 1 <= rank <= min(m, n):
+        raise RankError(f"k must be in [1, {min(m, n)}] for a {m}x{n} matrix, got {k}")
+    return rank
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     """Knobs shared by all solvers.
@@ -84,6 +105,11 @@ class SolverOptions:
     penalty: float = 0.0
 
     def __post_init__(self):
+        for name in ("max_iterations", "window", "seed", "restarts"):
+            value = _as_int(getattr(self, name))
+            if value is None:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, value)
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not 0.0 < self.tolerance < np.inf:
@@ -123,8 +149,7 @@ def init_factors(m, n, k, data, seed):
     require_nonnegative(data, "data")
     if data.shape != (m, n):
         raise ShapeError(f"data has shape {data.shape}, expected ({m}, {n})")
-    if not 1 <= k <= min(m, n):
-        raise RankError(f"k must be in [1, {min(m, n)}] for a {m}x{n} matrix, got {k}")
+    k = _rank(k, m, n)
     rng = np.random.default_rng(seed)
     scale = float(np.sqrt(data.mean() / k))
     if scale == 0.0:
@@ -164,23 +189,24 @@ def mu_step(data, basis, coef, options=None):
 
 
 def _mu_update(data, basis, coef, options):
-    # mu_step without validation, for the solvers' loop
+    # mu_step without validation, for the solvers' loop; the factors are
+    # 2-D or stacks of restarts, (R, m, k) and (R, k, n)
     eps = options.epsilon_guard
     lam = options.effective_penalty
     mode = options.ortho_mode
 
-    numer = data @ coef.T
-    denom = basis @ (coef @ coef.T)
+    numer = data @ coef.mT
+    denom = basis @ (coef @ coef.mT)
     if lam > 0.0 and mode in ("cols_of_B", "both"):
         numer = numer + 2.0 * lam * basis
-        denom = denom + 2.0 * lam * (basis @ (basis.T @ basis))
+        denom = denom + 2.0 * lam * (basis @ (basis.mT @ basis))
     basis = basis * numer / (denom + eps)
 
-    numer = basis.T @ data
-    denom = (basis.T @ basis) @ coef
+    numer = basis.mT @ data
+    denom = (basis.mT @ basis) @ coef
     if lam > 0.0 and mode in ("rows_of_C", "both"):
         numer = numer + 2.0 * lam * coef
-        denom = denom + 2.0 * lam * ((coef @ coef.T) @ coef)
+        denom = denom + 2.0 * lam * ((coef @ coef.mT) @ coef)
     coef = coef * numer / (denom + eps)
     return basis, coef
 
@@ -208,16 +234,17 @@ def penalty_value(basis, coef, options):
 
 
 class _Recorder:
-    """Accumulates the trace of one solver run.
+    """Accumulates the trace of one restart.
 
     The objective (and the penalized value) is recorded on every
-    iteration; the KKT norms and Gram off-diagonal energies every
-    DIAGNOSTIC_STRIDE iterations, and by ``finish`` at the final one.
+    iteration from the residual B C - A the driver computed for the whole
+    stack; the KKT norms and Gram off-diagonal energies every
+    DIAGNOSTIC_STRIDE iterations, for every active restart, and by
+    ``finish`` at the final one, for the winner only.
     """
 
     def __init__(self, data, penalized):
         self.data = data
-        self.iteration = []
         self.objective = []
         self.diagnostic_iteration = []
         self.kkt_basis = []
@@ -225,11 +252,11 @@ class _Recorder:
         self.basis_offdiag = []
         self.coef_offdiag = []
         self.penalized = [] if penalized else None
+        # the values the window rule and the choice of restart read
+        self.monitored = self.objective if self.penalized is None else self.penalized
 
-    def add(self, t, basis, coef, options):
-        residual = basis @ coef - self.data
+    def add(self, t, basis, coef, options, residual):
         obj = 0.5 * float(np.vdot(residual, residual))
-        self.iteration.append(t)
         self.objective.append(obj)
         if self.penalized is not None:
             self.penalized.append(obj + penalty_value(basis, coef, options))
@@ -237,7 +264,7 @@ class _Recorder:
             self._diagnose(t, basis, coef, residual)
 
     def finish(self, basis, coef):
-        t = self.iteration[-1]
+        t = self.last_iteration()
         if self.diagnostic_iteration[-1] != t:
             self._diagnose(t, basis, coef, basis @ coef - self.data)
 
@@ -249,12 +276,13 @@ class _Recorder:
         self.basis_offdiag.append(_offdiag_energy(basis.T @ basis))
         self.coef_offdiag.append(_offdiag_energy(coef @ coef.T))
 
-    def monitored(self):
-        return self.objective if self.penalized is None else self.penalized
+    def last_iteration(self):
+        # add is called at t = 0, 1, 2, ...
+        return len(self.objective) - 1
 
     def trace(self):
         return ConvergenceTrace(
-            iteration=np.asarray(self.iteration),
+            iteration=np.arange(len(self.objective)),
             objective=np.asarray(self.objective),
             kkt_basis=np.asarray(self.kkt_basis),
             kkt_coef=np.asarray(self.kkt_coef),
@@ -281,64 +309,78 @@ def _validate_problem(data, k):
     require_nonnegative(data, "data")
     if not np.any(data):
         raise DegenerateInputError("data matrix is all zeros; nothing to factorize")
-    if not 1 <= k <= min(data.shape):
-        raise RankError(
-            f"k must be in [1, {min(data.shape)}] for a "
-            f"{data.shape[0]}x{data.shape[1]} matrix, got {k}"
-        )
-    return data
+    return data, _rank(k, *data.shape)
 
 
-def _run(data, k, options, seed, step):
-    """One start: iterate ``step(data, basis, coef, options)`` from the
-    seeded initial point until the window rule fires or the cap is hit."""
+def _run(data, k, options, step):
+    """All restarts as one stacked iteration, equal to running them one at
+    a time.
+
+    Restart r starts from seed ``options.seed + r``.  The active restarts'
+    factors are stacked as (R, m, k) and (R, k, n), and one call of
+    ``step(data, basis, coef, options)`` updates the whole stack; once one
+    restart is left it iterates on plain 2-D factors.  Each restart keeps
+    its own recorder, which diagnoses it on the stride while it is active,
+    and leaves the stack when its window rule fires or it hits the cap.
+    The lowest final monitored value wins, the earliest restart on ties,
+    and the trace covers the winner only.
+    """
+    data, k = _validate_problem(data, k)
     m, n = data.shape
-    start = init_factors(m, n, k, data, seed)
-    basis = np.array(start.basis)
-    coef = np.array(start.coefficients)
-    rec = _Recorder(data, penalized=options.ortho_mode != "none")
-    rec.add(0, basis, coef, options)
-    converged = False
-    iterations = 0
-    for t in range(1, options.max_iterations + 1):
-        basis, coef = step(data, basis, coef, options)
-        rec.add(t, basis, coef, options)
-        iterations = t
-        if _window_stop(rec.monitored(), options.window, options.tolerance):
-            converged = True
+    starts = [init_factors(m, n, k, data, options.seed + r)
+              for r in range(options.restarts)]
+    basis = np.stack([start.basis for start in starts])
+    coef = np.stack([start.coefficients for start in starts])
+    recs = [_Recorder(data, penalized=options.ortho_mode != "none") for _ in starts]
+    ends = [None] * len(starts)
+    active = list(range(len(starts)))
+    cap, window, tolerance = options.max_iterations, options.window, options.tolerance
+    for t in range(cap + 1):
+        if len(active) == 1 and basis.ndim == 3:
+            basis, coef = basis[0], coef[0]
+        if t > 0:
+            basis, coef = step(data, basis, coef, options)
+        residual = basis @ coef - data
+        stack = (basis, coef, residual) if basis.ndim == 3 else ((basis,), (coef,), (residual,))
+        left = []
+        for r, b, c, res in zip(active, *stack):
+            recs[r].add(t, b, c, options, res)
+            # a window rule that fires at the cap still counts as converged
+            fired = _window_stop(recs[r].monitored, window, tolerance)
+            if fired or t == cap:
+                ends[r] = (b, c, fired)
+            else:
+                left.append(r)
+        if len(left) < len(active):
+            if basis.ndim == 3:
+                keep = [active.index(r) for r in left]
+                basis, coef = basis[keep], coef[keep]
+            active = left
+        if not active:
             break
+    # min keeps the earliest of equal values
+    best = min(range(len(starts)), key=lambda r: recs[r].monitored[-1])
+    basis, coef, converged = ends[best]
+    rec = recs[best]
     rec.finish(basis, coef)
     pair = FactorPair(
         basis=basis,
         coefficients=coef,
         rank=k,
         objective=rec.objective[-1],
-        iterations=iterations,
+        iterations=rec.last_iteration(),
         converged=converged,
     )
     return pair, rec.trace()
-
-
-def _best_of_restarts(data, k, options, step):
-    # keeps the lowest final monitored value, earliest restart on ties
-    data = _validate_problem(data, k)
-    best = None
-    best_value = None
-    for r in range(options.restarts):
-        pair, trace = _run(data, k, options, options.seed + r, step)
-        value = (trace.objective if trace.penalized is None else trace.penalized)[-1]
-        if best is None or value < best_value:
-            best = (pair, trace)
-            best_value = value
-    return best
 
 
 def nmf_multiplicative(data, k, options=None):
     """Standard NMF by multiplicative updates.
 
     Runs ``options.restarts`` independent starts (seeds seed, seed+1, ...)
-    and keeps the run with the lowest final objective, ties going to the
-    earliest restart.  The trace covers the winning run only, starting at
+    as one stacked iteration, with results equal to running them one at a
+    time, and keeps the run with the lowest final objective, ties going to
+    the earliest restart.  The trace covers the winning run only, starting at
     the initial point (iteration 0).  ortho_mode is ignored here; use
     nmf_orthogonal for the penalized regimes.
     """
@@ -346,7 +388,7 @@ def nmf_multiplicative(data, k, options=None):
         options = SolverOptions()
     if options.ortho_mode != "none":
         options = replace(options, ortho_mode="none")
-    return _best_of_restarts(data, k, options, _mu_update)
+    return _run(data, k, options, _mu_update)
 
 
 def nmf_orthogonal(data, k, options):
@@ -362,7 +404,7 @@ def nmf_orthogonal(data, k, options):
         raise ValueError("nmf_orthogonal requires ortho_mode in "
                          "{rows_of_C, cols_of_B, both}; use nmf_multiplicative "
                          "for the unpenalized problem")
-    return _best_of_restarts(data, k, options, _mu_update)
+    return _run(data, k, options, _mu_update)
 
 
 @dataclass(frozen=True)
@@ -462,6 +504,10 @@ def anls_basis_step(data, coef):
 
 
 def _anls_sweep(data, basis, coef, options):
+    if basis.ndim == 3:
+        # scipy's nnls does not batch, so a stack is swept slice by slice
+        pairs = [_anls_sweep(data, b, c, options) for b, c in zip(basis, coef)]
+        return np.stack([b for b, _ in pairs]), np.stack([c for _, c in pairs])
     coef = anls_coefficient_step(data, basis)
     return anls_basis_step(data, coef), coef
 
@@ -477,4 +523,4 @@ def nmf_anls(data, k, options=None):
         options = SolverOptions()
     if options.ortho_mode != "none":
         options = replace(options, ortho_mode="none")
-    return _best_of_restarts(data, k, options, _anls_sweep)
+    return _run(data, k, options, _anls_sweep)

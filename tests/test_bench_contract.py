@@ -1,8 +1,9 @@
-"""What bench/ relies on from the package: span names, a sweep round, report ops.
+"""What bench/ relies on from the package: span names, a sweep round, report
+and converge ops.
 
 ``bench/tracing.py`` finds the functions it wraps by name, and
 ``bench/workloads.py`` checks every op's output.  A change that renames
-a function the benchmark reads, or alters a sweep's or a report's output,
+a function the benchmark reads, or alters the output of an op it checks,
 breaks the benchmark without breaking any other test; these tests catch
 that.
 """
@@ -62,3 +63,21 @@ def test_report_oracle_ops_pass_their_check_with_six_oracle_calls(bench, tmp_pat
             tracer.uninstall()
         table = tracing.span_table(tracer.spans(), tracer.names())
         assert table["metrics.brute_force_ratio_assoc"]["calls"] == 6
+
+
+def test_one_traced_converge_op_passes_its_check_with_six_starts(bench, tmp_path):
+    # the 8 x 24 instance: MU's 5 restarts and ANLS's 1 each draw one start
+    tracing = bench["tracing"]
+    workload = bench["workloads"].Converge(1, str(tmp_path))
+    op = workload.round(0)[0]
+    assert op.data.shape == (8, 24)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        result = workload.run(op)
+        tracer.enabled = False
+        workload.check(op, result)
+    finally:
+        tracer.uninstall()
+    table = tracing.span_table(tracer.spans(), tracer.names())
+    assert table["solvers.init_factors"]["calls"] == 6

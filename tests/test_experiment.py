@@ -70,6 +70,13 @@ def test_report_shape_and_serializability():
     assert json.loads(json.dumps(report)) == report
 
 
+def test_report_with_a_numpy_integer_rank_is_json_ready():
+    data, _, _ = generate(SPEC)
+    report = run_experiment(data, np.int64(2), options=SolverOptions(max_iterations=5))
+    assert report["rank"] == 2
+    assert json.loads(json.dumps(report)) == report
+
+
 def test_report_trace_is_opt_in():
     assert "trace" not in _small_report()
     with_trace = _small_report(include_trace=True)

@@ -5,6 +5,8 @@ capacity ladder, the large-lambda orthogonality run) were measured once
 with the seeds used here and then frozen.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -55,9 +57,28 @@ def test_options_validation():
         dict(epsilon_guard=float("nan")),
         dict(penalty=float("inf")),
         dict(penalty=float("nan")),
+        dict(restarts=2.0),
+        dict(max_iterations=10.5),
+        dict(window=2.5),
+        dict(seed=1.5),
+        dict(restarts=True),
+        dict(seed="1"),
     ):
         with pytest.raises(ValueError):
             SolverOptions(**bad)
+    o = SolverOptions(restarts=np.int64(2), seed=np.uint8(3))
+    assert (o.restarts, o.seed) == (2, 3)
+    assert type(o.restarts) is int and type(o.seed) is int
+
+
+def test_rank_must_be_an_integer():
+    a = np.random.default_rng(3).random((5, 4))
+    for solver in (nmf_multiplicative, nmf_anls):
+        for k in (2.0, 2.5, True, "2"):
+            with pytest.raises(RankError):
+                solver(a, k, SolverOptions(max_iterations=5))
+    pair, _ = nmf_multiplicative(a, np.int64(2), SolverOptions(max_iterations=5))
+    assert type(pair.rank) is int and pair.rank == 2
 
 
 def test_effective_penalty_zeroed_without_mode():
@@ -93,6 +114,10 @@ def test_init_rank_and_shape_errors():
         init_factors(4, 3, 4, a, seed=0)
     with pytest.raises(RankError):
         init_factors(4, 3, 0, a, seed=0)
+    for k in (2.0, True):
+        with pytest.raises(RankError):
+            init_factors(4, 3, k, a, seed=0)
+    assert type(init_factors(4, 3, np.int64(2), a, seed=0).rank) is int
     with pytest.raises(ShapeError):
         init_factors(5, 3, 2, a, seed=0)
 
@@ -477,3 +502,64 @@ def test_all_iterates_nonnegative():
         b, c = mu_step(a, b, c, opts)
         assert np.all(b >= 0.0)
         assert np.all(c >= 0.0)
+
+
+# --------------------------------------------------------- stacked restarts
+
+TRACE_FIELDS = ("iteration", "objective", "kkt_basis", "kkt_coef", "basis_offdiag",
+                "coef_offdiag", "penalized", "diagnostic_iteration")
+
+
+def _assert_same_run(got, expected):
+    (pair, trace), (want, want_trace) = got, expected
+    assert np.array_equal(pair.basis, want.basis)
+    assert np.array_equal(pair.coefficients, want.coefficients)
+    assert (pair.objective, pair.iterations, pair.converged) == (
+        want.objective, want.iterations, want.converged)
+    for name in TRACE_FIELDS:
+        value, wanted = getattr(trace, name), getattr(want_trace, name)
+        assert (value is None) == (wanted is None), name
+        if value is not None:
+            assert np.array_equal(value, wanted), name
+
+
+def _best_of_single_runs(solver, a, k, options):
+    singles = [solver(a, k, replace(options, seed=options.seed + r, restarts=1))
+               for r in range(options.restarts)]
+    monitored = [(t.objective if t.penalized is None else t.penalized)[-1]
+                 for _, t in singles]
+    return singles, singles[monitored.index(min(monitored))]
+
+
+@pytest.mark.parametrize("restarts", [2, 3, 4, 5])
+@pytest.mark.parametrize("solver, mode, cap", [
+    (nmf_multiplicative, "none", 400),
+    (nmf_orthogonal, "rows_of_C", 400),
+    (nmf_orthogonal, "cols_of_B", 400),
+    (nmf_orthogonal, "both", 400),
+    (nmf_anls, "none", 60),
+])
+def test_stacked_restarts_equal_the_best_single_run(solver, mode, cap, restarts):
+    """``restarts=R`` is bit for bit the best of R one-restart runs."""
+    a = np.random.default_rng(5).random((9, 7))
+    opts = SolverOptions(seed=0, restarts=restarts, tolerance=1e-4, window=5,
+                         max_iterations=cap, ortho_mode=mode,
+                         penalty=0.2 if mode != "none" else 0.0)
+    singles, best = _best_of_single_runs(solver, a, 3, opts)
+    # on this instance every restart stops by the window rule at its own
+    # iteration, so the stack shrinks one restart at a time down to one
+    stops = [pair.iterations for pair, _ in singles]
+    assert len(set(stops)) == restarts and max(stops) < cap
+    _assert_same_run(solver(a, 3, opts), best)
+
+
+def test_stacked_restarts_window_rule_firing_at_the_cap():
+    # seed 3's window rule fires at iteration 245 and it wins; seed 2 is
+    # still running there and stops by the cap
+    a = np.random.default_rng(5).random((9, 7))
+    opts = SolverOptions(seed=0, restarts=5, tolerance=1e-4, window=5, max_iterations=245)
+    singles, best = _best_of_single_runs(nmf_multiplicative, a, 3, opts)
+    assert [(p.iterations, p.converged) for p, _ in singles][2:4] == [(245, False), (245, True)]
+    got = nmf_multiplicative(a, 3, opts)
+    assert got[0].iterations == 245 and got[0].converged
+    _assert_same_run(got, best)
