@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affinity import weights_array
-from .core import as_matrix
+from .core import _integer_fields, _rank, as_matrix
 from .errors import DomainError, RankError
 from .metrics import Partition
 
@@ -28,12 +28,15 @@ class KmeansOptions:
     tolerance: float = 1e-8
 
     def __post_init__(self):
+        _integer_fields(self, ("k", "max_iterations", "seed", "restarts"), ValueError)
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.tolerance >= 0.0:
             raise ValueError(f"tolerance must be >= 0, got {self.tolerance}")
 
@@ -133,10 +136,7 @@ def jacobi_eigen(affinity):
 def spectral_ratio_assoc(affinity, k, seed=0):
     """Spectral baseline: k-means on the rows of the top-k eigenvectors of W."""
     w = weights_array(affinity)
-    if k > w.shape[0]:
-        raise RankError(f"k={k} exceeds the number of vertices {w.shape[0]}")
-    if k < 1:
-        raise RankError(f"k must be >= 1, got {k}")
+    k = _rank(k, *w.shape)
     _, vecs = jacobi_eigen(w)
     embedding = vecs[:, :k]
     part, _ = kmeans(embedding, KmeansOptions(k=k, seed=seed))

@@ -127,6 +127,12 @@ def _options_from_args(args, ortho_mode="none", penalty=0.0):
         raise _UsageError(str(exc)) from None
 
 
+def _labels_from_args(args):
+    # the planted item and feature labels named by --labels/--feature-labels
+    return tuple(read_labels(path) if path else None
+                 for path in (args.labels, args.feature_labels))
+
+
 def _load_matrix(path):
     if path.endswith(".csv"):
         return read_csv_matrix(path), "csv"
@@ -175,10 +181,7 @@ def _check_ortho_flags(args):
 def cmd_factorize(args):
     _check_ortho_flags(args)
     data, fmt = _load_matrix(args.input)
-    item_labels = read_labels(args.labels) if args.labels else None
-    feature_labels = (
-        read_labels(args.feature_labels) if args.feature_labels else None
-    )
+    item_labels, feature_labels = _labels_from_args(args)
     options = _options_from_args(
         args, ortho_mode=args.ortho_mode, penalty=args.penalty
     )
@@ -199,10 +202,7 @@ def cmd_factorize(args):
 def cmd_evaluate(args):
     with open(args.report, "r", encoding="ascii") as fh:
         report = json.load(fh)
-    item_labels = read_labels(args.labels) if args.labels else None
-    feature_labels = (
-        read_labels(args.feature_labels) if args.feature_labels else None
-    )
+    item_labels, feature_labels = _labels_from_args(args)
     metrics = evaluate_report(
         report, item_labels=item_labels, feature_labels=feature_labels
     )
@@ -230,8 +230,7 @@ def cmd_sweep(args):
         lam = rep["lambda"]
         tag = f"{lam:g}" if float(f"{lam:g}") == lam else repr(lam)  # one file each
         name = f"report_{rep['solver']}_seed{rep['seed']}_lam{tag}.json"
-        with open(os.path.join(args.out, name), "w", encoding="ascii") as fh:
-            fh.write(json.dumps(rep, indent=2, default=_json_default) + "\n")
+        _emit(rep, os.path.join(args.out, name))
     summary_path = os.path.join(args.out, "summary.csv")
     with open(summary_path, "w", encoding="ascii") as fh:
         fh.write(summary_rows_to_csv(reports))
@@ -241,10 +240,7 @@ def cmd_sweep(args):
 
 def cmd_compare(args):
     data, fmt = _load_matrix(args.input)
-    item_labels = read_labels(args.labels) if args.labels else None
-    feature_labels = (
-        read_labels(args.feature_labels) if args.feature_labels else None
-    )
+    item_labels, feature_labels = _labels_from_args(args)
     options = _options_from_args(args)
     report = run_compare(
         data,

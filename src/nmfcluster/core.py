@@ -13,11 +13,12 @@ Matrices are plain float64 ndarrays.  ``as_matrix`` and
 points call them instead of trusting the caller.
 """
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateFactorError, DomainError, ShapeError
+from .errors import DegenerateFactorError, DomainError, RankError, ShapeError
 
 __all__ = [
     "as_matrix",
@@ -31,6 +32,34 @@ __all__ = [
     "FactorPair",
     "ConvergenceTrace",
 ]
+
+
+def _as_int(value):
+    # value as an int, or None for a bool or a value that is not integral
+    try:
+        return None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        return None
+
+
+def _integer_fields(obj, names, error):
+    # store each named field of a frozen dataclass as an int; raise ``error``
+    # for a bool or a value that is not integral
+    for name in names:
+        value = _as_int(getattr(obj, name))
+        if value is None:
+            raise error(f"{name} must be an integer, got {getattr(obj, name)!r}")
+        object.__setattr__(obj, name, value)
+
+
+def _rank(k, m, n):
+    # k as an int; RankError unless it is an integer in [1, min(m, n)]
+    rank = _as_int(k)
+    if rank is None:
+        raise RankError(f"k must be an integer, got {k!r}")
+    if not 1 <= rank <= min(m, n):
+        raise RankError(f"k must be in [1, {min(m, n)}] for a {m}x{n} matrix, got {k}")
+    return rank
 
 
 def as_matrix(values, name="matrix"):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affinity import AffinityMatrix
-from .core import as_matrix
+from .core import _integer_fields, as_matrix
 from .errors import ParseError, SpecError
 from .metrics import Partition
 
@@ -65,6 +65,7 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise SpecError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        _integer_fields(self, ("n", "k", "m", "seed"), SpecError)
         if self.n < 1:
             raise SpecError(f"n must be >= 1, got {self.n}")
         if self.kind in GRAPH_KINDS:
@@ -82,8 +83,8 @@ class SyntheticSpec:
                 )
         if not 0.0 <= self.noise < 1.0:
             raise SpecError(f"noise must be in [0, 1), got {self.noise}")
-        if self.overlap < 0.0:
-            raise SpecError(f"overlap must be >= 0, got {self.overlap}")
+        if not 0.0 <= self.overlap < np.inf:
+            raise SpecError(f"overlap must be finite and >= 0, got {self.overlap}")
         if self.kind == "mixture-docs" and not self.overlap < 1.0:
             raise SpecError(
                 f"overlap must be < 1 for mixture-docs (the dominant topic "

@@ -15,7 +15,7 @@ table.
 """
 
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from itertools import product
 
 import numpy as np
@@ -75,16 +75,10 @@ SUMMARY_COLUMNS = (
 
 
 def _options_dict(options):
-    return {
-        "max_iterations": options.max_iterations,
-        "tolerance": options.tolerance,
-        "window": options.window,
-        "seed": options.seed,
-        "restarts": options.restarts,
-        "epsilon_guard": options.epsilon_guard,
-        "ortho_mode": options.ortho_mode,
-        "lambda": options.penalty,
-    }
+    # the SolverOptions fields in their order; penalty is the last, as "lambda"
+    out = asdict(options)
+    out["lambda"] = out.pop("penalty")
+    return out
 
 
 def _trace_dict(trace):
@@ -112,6 +106,21 @@ def _run_solver(data, k, solver, options):
     raise SpecError(f"solver must be one of {SOLVERS}, got {solver!r}")
 
 
+def _score(affinity, part, truth):
+    # (ratio association, accuracy, NMI) of one partition; None without truth
+    ra = ratio_association(affinity, part)
+    if truth is None:
+        return ra, None, None
+    return ra, cluster_accuracy(part, truth), nmi(part, truth)
+
+
+def _oracle(affinity, k):
+    # the exact RA optimum, where the exhaustive search is affordable
+    if affinity.n <= BRUTE_FORCE_MAX_N:
+        return brute_force_ratio_assoc(affinity, k)[1]
+    return None
+
+
 def evaluate_factors(data, basis, coef, item_labels=None, feature_labels=None):
     """Score one factor pair against the data (and labels when given).
 
@@ -129,17 +138,12 @@ def evaluate_factors(data, basis, coef, item_labels=None, feature_labels=None):
 
     aff_items = item_affinity(data)
     aff_features = feature_affinity(data)
-    ra_items = ratio_association(aff_items, items)
-    ra_features = ratio_association(aff_features, features)
+    ra_items, accuracy, item_nmi = _score(aff_items, items, item_labels)
+    ra_features, feature_accuracy, feature_nmi = _score(
+        aff_features, features, feature_labels
+    )
     k = items.n_clusters
-    ra_items_oracle = None
-    if data.shape[1] <= BRUTE_FORCE_MAX_N:
-        ra_items_oracle = brute_force_ratio_assoc(aff_items, k)[1]
-    ra_features_oracle = None
-    if data.shape[0] <= BRUTE_FORCE_MAX_N:
-        ra_features_oracle = brute_force_ratio_assoc(aff_features, k)[1]
-
-    out = {
+    return {
         "kkt_b": kkt_b,
         "kkt_c": kkt_c,
         "jb2": jb2,
@@ -150,20 +154,13 @@ def evaluate_factors(data, basis, coef, item_labels=None, feature_labels=None):
         "feature_labels_pred": features.labels.tolist(),
         "ra_items": ra_items,
         "ra_features": ra_features,
-        "ra_items_oracle": ra_items_oracle,
-        "ra_features_oracle": ra_features_oracle,
-        "accuracy": None,
-        "nmi": None,
-        "feature_accuracy": None,
-        "feature_nmi": None,
+        "ra_items_oracle": _oracle(aff_items, k),
+        "ra_features_oracle": _oracle(aff_features, k),
+        "accuracy": accuracy,
+        "nmi": item_nmi,
+        "feature_accuracy": feature_accuracy,
+        "feature_nmi": feature_nmi,
     }
-    if item_labels is not None:
-        out["accuracy"] = cluster_accuracy(items, item_labels)
-        out["nmi"] = nmi(items, item_labels)
-    if feature_labels is not None:
-        out["feature_accuracy"] = cluster_accuracy(features, feature_labels)
-        out["feature_nmi"] = nmi(features, feature_labels)
-    return out
 
 
 def run_experiment(
@@ -226,6 +223,19 @@ def _symmetric_square(data):
     return data.shape[0] == data.shape[1] and float(np.abs(data - data.T).max()) <= 1e-10
 
 
+def _baseline(part, seconds, aff_items, item_labels, **extra):
+    # one baseline's section of a comparison, scored like the NMF partition
+    ra, accuracy, item_nmi = _score(aff_items, part, item_labels)
+    return {
+        "labels": part.labels.tolist(),
+        **extra,
+        "ra_items": ra,
+        "accuracy": accuracy,
+        "nmi": item_nmi,
+        "seconds": seconds,
+    }
+
+
 def run_compare(
     data,
     k,
@@ -261,51 +271,33 @@ def run_compare(
 
     aff_items = item_affinity(data)
     started = time.perf_counter()
-    if _symmetric_square(data):
-        spectral_input = data
-        spectral_on = "input matrix"
-    else:
-        spectral_input = aff_items
-        spectral_on = "item affinity"
-    sp_part = spectral_ratio_assoc(spectral_input, k, seed=options.seed)
+    on_input = _symmetric_square(data)
+    sp_part = spectral_ratio_assoc(data if on_input else aff_items, k, seed=options.seed)
     sp_seconds = time.perf_counter() - started
+    spectral_on = "input matrix" if on_input else "item affinity"
 
-    comparison = {
+    return {
         "schema_version": SCHEMA_VERSION,
-        "input": source if source is not None else {"shape": list(data.shape)},
+        "input": nmf_report["input"],
         "rank": nmf_report["rank"],
         "seed": options.seed,
         "nmf": nmf_report,
-        "kmeans": {
-            "labels": km_part.labels.tolist(),
-            "inertia": inertia,
-            "ra_items": ratio_association(aff_items, km_part),
-            "accuracy": None
-            if item_labels is None
-            else cluster_accuracy(km_part, item_labels),
-            "nmi": None if item_labels is None else nmi(km_part, item_labels),
-            "seconds": km_seconds,
-        },
-        "spectral": {
-            "labels": sp_part.labels.tolist(),
-            "operates_on": spectral_on,
-            "ra_items": ratio_association(aff_items, sp_part),
-            "accuracy": None
-            if item_labels is None
-            else cluster_accuracy(sp_part, item_labels),
-            "nmi": None if item_labels is None else nmi(sp_part, item_labels),
-            "seconds": sp_seconds,
-        },
+        "kmeans": _baseline(km_part, km_seconds, aff_items, item_labels, inertia=inertia),
+        "spectral": _baseline(
+            sp_part, sp_seconds, aff_items, item_labels, operates_on=spectral_on
+        ),
     }
-    return comparison
 
 
 def _load_report_data(report):
-    source = report.get("input") or {}
+    source = report.get("input")
+    source = source if isinstance(source, dict) else {}
     if "spec" in source:
-        spec = SyntheticSpec(**source["spec"])
-        data, items, features = generate(spec)
-        return data, items, features
+        try:
+            spec = SyntheticSpec(**source["spec"])
+        except TypeError as exc:
+            raise SpecError(f"report input spec is malformed: {exc}") from None
+        return generate(spec)
     if "path" in source:
         if source.get("format") == "csv":
             data = read_csv_matrix(source["path"])
@@ -317,43 +309,41 @@ def _load_report_data(report):
     )
 
 
+def _labels(given, stored, planted):
+    # the caller's labels, else the ones the report stored, else the spec's
+    if given is not None:
+        return given
+    if stored is not None:
+        return Partition(np.asarray(stored), int(max(stored)) + 1)
+    return planted
+
+
 def evaluate_report(report, item_labels=None, feature_labels=None):
     """Recompute all metrics of a report from its stored factors.
 
     Labels fall back to the ones recorded in the report (or planted by
     the regenerated spec).  Metrics missing their inputs come back as
     explicit None.  Matches the original report within 1e-10 because the
-    stored factors and the reloaded data round-trip exactly.
+    stored factors and the reloaded data round-trip exactly.  SpecError
+    for a report that is not a dict or has no stored factors.
     """
+    if not isinstance(report, dict):
+        raise SpecError(f"report must be a JSON object, got a {type(report).__name__}")
+    for key in ("basis", "coefficients"):
+        if key not in report:
+            raise SpecError(f"report has no {key!r}; cannot re-evaluate")
     data, spec_items, spec_features = _load_report_data(report)
     basis = np.asarray(report["basis"])
     coef = np.asarray(report["coefficients"])
 
-    if item_labels is None and report.get("item_labels") is not None:
-        item_labels = Partition(
-            np.asarray(report["item_labels"]),
-            int(max(report["item_labels"])) + 1,
-        )
-    if item_labels is None:
-        item_labels = spec_items
-    if feature_labels is None and report.get("feature_labels") is not None:
-        feature_labels = Partition(
-            np.asarray(report["feature_labels"]),
-            int(max(report["feature_labels"])) + 1,
-        )
-    if feature_labels is None:
-        feature_labels = spec_features
+    item_labels = _labels(item_labels, report.get("item_labels"), spec_items)
+    feature_labels = _labels(feature_labels, report.get("feature_labels"), spec_features)
 
-    out = {
+    return {
         "schema_version": report.get("schema_version", SCHEMA_VERSION),
         "objective": frobenius_objective(data, basis, coef),
+        **evaluate_factors(data, basis, coef, item_labels, feature_labels),
     }
-    out.update(
-        evaluate_factors(
-            data, basis, coef, item_labels=item_labels, feature_labels=feature_labels
-        )
-    )
-    return out
 
 
 def _sweep_cell(spec, solver, seed, lam, base_options):
@@ -416,23 +406,10 @@ def summary_rows_to_csv(reports):
     """Render sweep reports as the summary CSV text (header + one row/cell)."""
     lines = [",".join(SUMMARY_COLUMNS)]
     for rep in reports:
-        row = {
-            "solver": rep["solver"],
-            "seed": rep["seed"],
-            "lambda": rep.get("lambda", rep["options"]["lambda"]),
-            "objective": rep["objective"],
-            "kkt_b": rep["kkt_b"],
-            "kkt_c": rep["kkt_c"],
-            "jb2_norm": rep["jb2_norm"],
-            "jc2_norm": rep["jc2_norm"],
-            "ra_items": rep["ra_items"],
-            "accuracy": rep["accuracy"],
-            "nmi": rep["nmi"],
-            "seconds": rep["seconds"],
-        }
+        lam = rep.get("lambda", rep["options"]["lambda"])
         rendered = []
         for col in SUMMARY_COLUMNS:
-            value = row[col]
+            value = lam if col == "lambda" else rep[col]
             if value is None:
                 rendered.append("")
             elif isinstance(value, float):

@@ -19,7 +19,6 @@ stride.  Every solver returns a (FactorPair, ConvergenceTrace) pair and
 is deterministic given (data, rank, options).
 """
 
-import operator
 import warnings
 from dataclasses import dataclass, replace
 
@@ -33,14 +32,15 @@ from .core import (
     frobenius_objective,
     require_nonnegative,
     _conforming,
+    _integer_fields,
     _kkt_norms,
     _offdiag_energy,
+    _rank,
 )
 from .errors import (
     ConvergenceError,
     DegenerateInputError,
     DomainError,
-    RankError,
     ShapeError,
 )
 
@@ -65,24 +65,6 @@ ORTHO_MODES = ("none", "rows_of_C", "cols_of_B", "both")
 DIAGNOSTIC_STRIDE = 10
 
 
-def _as_int(value):
-    # value as an int, or None for a bool or a value that is not integral
-    try:
-        return None if isinstance(value, bool) else operator.index(value)
-    except TypeError:
-        return None
-
-
-def _rank(k, m, n):
-    # k as an int; RankError unless it is an integer in [1, min(m, n)]
-    rank = _as_int(k)
-    if rank is None:
-        raise RankError(f"k must be an integer, got {k!r}")
-    if not 1 <= rank <= min(m, n):
-        raise RankError(f"k must be in [1, {min(m, n)}] for a {m}x{n} matrix, got {k}")
-    return rank
-
-
 @dataclass(frozen=True)
 class SolverOptions:
     """Knobs shared by all solvers.
@@ -105,11 +87,7 @@ class SolverOptions:
     penalty: float = 0.0
 
     def __post_init__(self):
-        for name in ("max_iterations", "window", "seed", "restarts"):
-            value = _as_int(getattr(self, name))
-            if value is None:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, value)
+        _integer_fields(self, ("max_iterations", "window", "seed", "restarts"), ValueError)
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not 0.0 < self.tolerance < np.inf:

@@ -26,6 +26,13 @@ def test_kmeans_options_validation():
         KmeansOptions(k=1, tolerance=-1.0)
     with pytest.raises(ValueError, match="tolerance"):
         KmeansOptions(k=1, tolerance=float("nan"))
+    for field, value in (("k", 2.5), ("k", True), ("restarts", 2.0),
+                         ("max_iterations", 3.5), ("seed", 1.5)):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            KmeansOptions(**{"k": 2, field: value})
+    with pytest.raises(ValueError, match="seed"):
+        KmeansOptions(k=2, seed=-1)
+    assert type(KmeansOptions(k=np.int64(2)).k) is int
 
 
 def test_kmeans_separated_groups():
@@ -170,3 +177,5 @@ def test_spectral_rank_checks():
         spectral_ratio_assoc(np.eye(3), 4)
     with pytest.raises(RankError):
         spectral_ratio_assoc(np.eye(3), 0)
+    with pytest.raises(RankError, match="integer"):
+        spectral_ratio_assoc(np.eye(3), 2.0)

@@ -9,6 +9,7 @@ that.
 """
 
 import importlib
+import json
 from pathlib import Path
 
 import pytest
@@ -63,6 +64,18 @@ def test_report_oracle_ops_pass_their_check_with_six_oracle_calls(bench, tmp_pat
             tracer.uninstall()
         table = tracing.span_table(tracer.spans(), tracer.names())
         assert table["metrics.brute_force_ratio_assoc"]["calls"] == 6
+
+
+def test_report_block_op_passes_its_check_on_the_item_affinity_branch(bench, tmp_path):
+    # the block-diagonal 60 x 60 op: compare's spectral baseline partitions
+    # the item affinity, not the input matrix as on the symmetric graphs
+    workload = bench["workloads"].Report(1, str(tmp_path))
+    op = workload.round(0)[2]
+    assert (op.spec.kind, op.spec.m, op.spec.n) == ("block-diagonal", 60, 60)
+    workload.prepare()
+    workload.check(op, workload.run(op))
+    with open(workload.paths["comparison.json"], encoding="ascii") as fh:
+        assert json.load(fh)["spectral"]["operates_on"] == "item affinity"
 
 
 def test_one_traced_converge_op_passes_its_check_with_six_starts(bench, tmp_path):

@@ -13,6 +13,7 @@ PYTHONPATH.
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -76,6 +77,17 @@ def test_gen_rejects_bad_rank(tmp_path, capsys):
     rc, _, _ = _gen(tmp_path, k=100, n=10)
     assert rc == 1
     assert "k must be in" in capsys.readouterr().err
+
+
+def test_gen_rejects_non_finite_overlap(tmp_path, capsys):
+    for overlap in ("nan", "inf"):
+        rc = main(["gen", "--kind", "block-diagonal", "--m", "8", "--n", "8",
+                   "--k", "2", "--overlap", overlap,
+                   "--out-matrix", str(tmp_path / "a.mtx"),
+                   "--out-labels", str(tmp_path / "y.txt")])
+        assert rc == 1
+        assert "overlap must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "a.mtx").exists()
 
 
 def test_gen_refusal_writes_nothing(tmp_path, capsys):
@@ -221,6 +233,33 @@ def test_evaluate_corrupted_report(tmp_path, capsys):
     assert "JSON" in capsys.readouterr().err
 
 
+def test_evaluate_malformed_report(dataset, tmp_path, capsys):
+    matrix, _ = dataset
+    report_path = tmp_path / "report.json"
+    assert main(["factorize", "--input", str(matrix), "--k", "2",
+                 "--out", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    spec = {"kind": "block-diagonal", "m": 8, "n": 8, "k": 2}
+    cases = {
+        "a list": ([report], "must be a JSON object"),
+        "no basis": ({k: v for k, v in report.items() if k != "basis"}, "'basis'"),
+        "no coefficients": (
+            {k: v for k, v in report.items() if k != "coefficients"}, "'coefficients'"),
+        "fractional n": ({**report, "input": {"spec": {**spec, "n": 8.5}}},
+                         "n must be an integer"),
+        "unknown field": ({**report, "input": {"spec": {**spec, "size": 8}}},
+                          "spec is malformed"),
+        "input not an object": ({**report, "input": 5}, "neither a spec nor a path"),
+    }
+    for name, (payload, message) in cases.items():
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["evaluate", "--report", str(bad)]) == 1, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: "), name
+        assert re.search(message, err), (name, err)
+
+
 def _mask_seconds(csv_text):
     lines = csv_text.strip().splitlines()
     out = [lines[0]]
@@ -318,6 +357,45 @@ def test_compare_merged_report(dataset, tmp_path):
     assert set(merged) >= {"nmf", "kmeans", "spectral"}
     assert merged["nmf"]["accuracy"] is not None
     assert merged["kmeans"]["accuracy"] is not None
+
+
+REPORT_KEYS = [
+    "schema_version", "input", "solver", "options", "rank", "seed", "objective",
+    "iterations", "converged", "seconds", "basis", "coefficients", "item_labels",
+    "feature_labels",
+]
+EVALUATION_KEYS = [
+    "kkt_b", "kkt_c", "jb2", "jb2_norm", "jc2", "jc2_norm", "item_labels_pred",
+    "feature_labels_pred", "ra_items", "ra_features", "ra_items_oracle",
+    "ra_features_oracle", "accuracy", "nmi", "feature_accuracy", "feature_nmi",
+]
+
+
+def test_report_layout(dataset, tmp_path):
+    # the key order of every report section is part of the file format
+    matrix, labels = dataset
+    report_path, evaluation, comparison = (
+        tmp_path / "report.json", tmp_path / "eval.json", tmp_path / "cmp.json")
+    common = ["--input", str(matrix), "--k", "2", "--labels", str(labels)]
+    assert main(["factorize", *common, "--out", str(report_path)]) == 0
+    assert main(["evaluate", "--report", str(report_path), "--out", str(evaluation)]) == 0
+    assert main(["compare", *common, "--out", str(comparison)]) == 0
+
+    report = json.loads(report_path.read_text())
+    assert list(report) == REPORT_KEYS + EVALUATION_KEYS
+    assert list(report["options"]) == [
+        "max_iterations", "tolerance", "window", "seed", "restarts",
+        "epsilon_guard", "ortho_mode", "lambda",
+    ]
+    assert list(json.loads(evaluation.read_text())) == [
+        "schema_version", "objective", *EVALUATION_KEYS]
+    merged = json.loads(comparison.read_text())
+    assert list(merged) == ["schema_version", "input", "rank", "seed", "nmf",
+                            "kmeans", "spectral"]
+    assert list(merged["nmf"]) == REPORT_KEYS + EVALUATION_KEYS
+    scores = ["ra_items", "accuracy", "nmi", "seconds"]
+    assert list(merged["kmeans"]) == ["labels", "inertia", *scores]
+    assert list(merged["spectral"]) == ["labels", "operates_on", *scores]
 
 
 def _console_script():

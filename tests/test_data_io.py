@@ -46,6 +46,18 @@ def test_spec_validation():
         SyntheticSpec(kind="mixture-docs", m=4, n=4, k=2, overlap=1.0)
     with pytest.raises(SpecError, match="seed"):
         SyntheticSpec(kind="planted-graph", n=4, k=2, seed=-1)
+    # counts must be integers: no floats, not even integral ones, and no bools
+    for field, value in (("n", 10.5), ("n", 10.0), ("k", True), ("m", 4.0),
+                         ("seed", 1.5)):
+        params = {"kind": "block-diagonal", "m": 10, "n": 10, "k": 2, field: value}
+        with pytest.raises(SpecError, match=f"{field} must be an integer"):
+            SyntheticSpec(**params)
+    spec = SyntheticSpec(kind="block-diagonal", m=np.int64(4), n=np.int64(4), k=2)
+    assert type(spec.m) is int and type(spec.n) is int
+    # overlap must be finite even for the kinds that ignore it
+    for overlap in (float("nan"), float("inf"), -0.1):
+        with pytest.raises(SpecError, match="overlap"):
+            SyntheticSpec(kind="block-diagonal", m=4, n=4, k=2, overlap=overlap)
     # graph kinds ignore m entirely
     SyntheticSpec(kind="directed-planted-graph", n=6, k=3)
 
