@@ -22,7 +22,7 @@ import numpy as np
 
 from .affinity import feature_affinity, item_affinity
 from .baselines import KmeansOptions, kmeans, spectral_ratio_assoc
-from .core import as_matrix, frobenius_objective, kkt_residual, normalize_factors
+from .core import _as_int, as_matrix, frobenius_objective, kkt_residual, normalize_factors
 from .data_io import (
     SyntheticSpec,
     generate,
@@ -309,13 +309,18 @@ def _load_report_data(report):
     )
 
 
-def _labels(given, stored, planted):
-    # the caller's labels, else the ones the report stored, else the spec's
+def _labels(given, report, key, count, planted):
+    # the caller's labels, else the ones the report stored under ``key``
+    # (a list of ``count`` non-negative integers), else the spec's
     if given is not None:
         return given
-    if stored is not None:
-        return Partition(np.asarray(stored), int(max(stored)) + 1)
-    return planted
+    stored = report.get(key)
+    if stored is None:
+        return planted
+    if (not isinstance(stored, list) or len(stored) != count
+            or any(_as_int(label) is None or label < 0 for label in stored)):
+        raise SpecError(f"report's {key!r} must be a list of {count} non-negative integers")
+    return Partition(np.asarray(stored), max(stored) + 1)
 
 
 def evaluate_report(report, item_labels=None, feature_labels=None):
@@ -336,8 +341,9 @@ def evaluate_report(report, item_labels=None, feature_labels=None):
     basis = np.asarray(report["basis"])
     coef = np.asarray(report["coefficients"])
 
-    item_labels = _labels(item_labels, report.get("item_labels"), spec_items)
-    feature_labels = _labels(feature_labels, report.get("feature_labels"), spec_features)
+    m, n = data.shape
+    item_labels = _labels(item_labels, report, "item_labels", n, spec_items)
+    feature_labels = _labels(feature_labels, report, "feature_labels", m, spec_features)
 
     return {
         "schema_version": report.get("schema_version", SCHEMA_VERSION),

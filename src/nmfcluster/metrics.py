@@ -6,6 +6,12 @@ B's columns unit-normalized first (use core.normalize_factors) so the
 coefficient rows are on a common scale.  Scoring covers ratio association
 (with a brute-force oracle for desk-scale n), orthogonality deviation of
 a factor's Gram matrix, matched accuracy, and NMI.
+
+The oracle grows canonical labelings one element at a time.  Each prefix
+carries per-cluster within weights and sizes, so placing an element
+costs one prefix sum of its links per cluster, not a rescoring of the
+whole labeling.  At most LABELING_BLOCK labelings are scored at once,
+and among equal optima the lexicographically smallest labeling wins.
 """
 
 from dataclasses import dataclass
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affinity import weights_array
-from .core import as_matrix, require_nonnegative, _offdiag_energy
+from .core import _as_int, _offdiag_energy, as_matrix, require_nonnegative
 from .errors import DegenerateFactorError, DomainError, ShapeError, SizeLimitError
 
 __all__ = [
@@ -48,15 +54,15 @@ class Partition:
             if not np.all(arr == np.floor(arr)):
                 raise DomainError("labels must be integers")
         arr = arr.astype(np.int64)
-        if self.n_clusters < 1:
-            raise DomainError(f"n_clusters must be >= 1, got {self.n_clusters}")
-        if arr.min() < 0 or arr.max() >= self.n_clusters:
-            bad = int(np.flatnonzero((arr < 0) | (arr >= self.n_clusters))[0])
-            raise DomainError(
-                f"label {arr[bad]} at position {bad} outside [0, {self.n_clusters})"
-            )
+        k = _as_int(self.n_clusters)
+        if k is None or k < 1:
+            raise DomainError(f"n_clusters must be an integer >= 1, got {self.n_clusters!r}")
+        if arr.min() < 0 or arr.max() >= k:
+            bad = int(np.flatnonzero((arr < 0) | (arr >= k))[0])
+            raise DomainError(f"label {arr[bad]} at position {bad} outside [0, {k})")
         arr.flags.writeable = False
         object.__setattr__(self, "labels", arr)
+        object.__setattr__(self, "n_clusters", k)
 
     @property
     def n(self):
@@ -142,27 +148,17 @@ def ratio_association(affinity, partition):
     return total
 
 
-def _labelings(n, width):
-    """Canonical labelings of n elements in lexicographic order, in int8 blocks."""
-    stack = [np.zeros((1, 1), dtype=np.int8)]
-    while stack:
-        rows = stack.pop()
-        if rows.shape[1] == n:
-            yield rows
-            continue
-        # the next label is at most one above the largest so far
-        parent, label = np.nonzero(np.arange(width) <= rows.max(axis=1, keepdims=True) + 1)
-        grown = np.column_stack([rows[parent], label.astype(np.int8)])
-        cuts = range(LABELING_BLOCK, len(grown), LABELING_BLOCK)
-        stack.extend(reversed(np.split(grown, cuts)))
-
-
 def brute_force_ratio_assoc(affinity, n_clusters):
     """Exact RA maximizer over all partitions into at most n_clusters groups.
 
-    Scores canonical labelings (restricted growth strings) block by block,
-    so label permutations are visited once; among maximizers the
-    lexicographically smallest labeling wins.  Capped at n <= 12 elements.
+    Enumerates canonical labelings (restricted growth strings) depth first
+    as blocks of prefixes, so label permutations are visited once.  Each
+    prefix carries its per-cluster within weight and size, and placing
+    element d in cluster c adds w[d, d] plus the links w[d, j] + w[j, d]
+    to the earlier members j of c, summed in element order.  The children
+    of the last element are scored for a whole block at once, at most
+    LABELING_BLOCK labelings; among maximizers the lexicographically
+    smallest labeling wins.  Capped at n <= 12 elements.
     """
     w = weights_array(affinity)
     n = w.shape[0]
@@ -170,20 +166,52 @@ def brute_force_ratio_assoc(affinity, n_clusters):
         raise SizeLimitError(
             f"brute force enumeration is capped at n <= {BRUTE_FORCE_MAX_N}, got {n}"
         )
-    if n_clusters < 1:
-        raise DomainError(f"n_clusters must be >= 1, got {n_clusters}")
+    k = _as_int(n_clusters)
+    if k is None or k < 1:
+        raise DomainError(f"n_clusters must be an integer >= 1, got {n_clusters!r}")
 
-    width = min(n_clusters, n)  # no label of n elements exceeds n - 1
+    width = min(k, n)  # no label of n elements exceeds n - 1
+    # parents per block, so that no block grows more than LABELING_BLOCK children
+    rows_per_block = LABELING_BLOCK // width
+    clusters = np.arange(width)
     best_value, best_labels = -np.inf, None
-    for labels in _labelings(n, width):
-        member = labels[:, :, None] == np.arange(width)
-        within = np.einsum("sic,ij,sjc->sc", member, w, member)
-        ratios = within / np.maximum(member.sum(axis=1), 1)
-        value = np.add.accumulate(ratios, axis=1)[:, -1]  # in label order
-        top = int(np.argmax(value))
-        if value[top] > best_value:
-            best_value, best_labels = value[top], labels[top]
-    best = Partition(best_labels, n_clusters)
+    # a block: int8 labels of its prefixes, within weight and size per cluster
+    stack = [(np.zeros((1, 0), np.int8), np.zeros((1, width)), np.zeros((1, width), np.int8))]
+    while stack:
+        labels, within, size = stack.pop()
+        s, d = labels.shape
+        # links of element d to each cluster of each prefix, in element order
+        bins = (np.arange(s)[:, None] * width + labels).ravel()
+        links = np.bincount(bins, np.tile(w[d, :d] + w[:d, d], s), minlength=s * width)
+        added = w[d, d] + links.reshape(s, width)
+        # the next label is at most one above the largest so far
+        allowed = clusters <= np.count_nonzero(size, axis=1)[:, None]
+        if d == n - 1:
+            # (parent, label of d, cluster) for every child of the block
+            child_within = np.repeat(within[:, None, :], width, axis=1)
+            child_size = np.repeat(size[:, None, :], width, axis=1)
+            child_within[:, clusters, clusters] += added
+            child_size[:, clusters, clusters] += 1
+            ratios = child_within / np.maximum(child_size, 1)
+            value = np.add.accumulate(ratios, axis=2)[:, :, -1]  # in label order
+            value[~allowed] = -np.inf
+            top = np.unravel_index(np.argmax(value), value.shape)
+            if value[top] > best_value:
+                best_value = value[top]
+                best_labels = np.append(labels[top[0]], np.int8(top[1]))
+            continue
+        parent, label = np.nonzero(allowed)
+        grown = np.column_stack([labels[parent], label.astype(np.int8)])
+        grown_within = within[parent]
+        grown_size = size[parent]
+        rows = np.arange(len(parent))
+        grown_within[rows, label] += added[parent, label]
+        grown_size[rows, label] += 1
+        cuts = range(rows_per_block, len(grown), rows_per_block)
+        stack.extend(reversed(list(zip(
+            np.split(grown, cuts), np.split(grown_within, cuts), np.split(grown_size, cuts)
+        ))))
+    best = Partition(best_labels, k)
     # report the value through the same code path callers use for scoring
     return best, ratio_association(w, best)
 

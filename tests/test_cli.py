@@ -260,6 +260,27 @@ def test_evaluate_malformed_report(dataset, tmp_path, capsys):
         assert re.search(message, err), (name, err)
 
 
+def test_evaluate_malformed_stored_labels(dataset, tmp_path, capsys):
+    # stored labels must be one non-negative integer per item or feature
+    matrix, _ = dataset
+    report_path = tmp_path / "report.json"
+    assert main(["factorize", "--input", str(matrix), "--k", "2",
+                 "--out", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    bad = tmp_path / "bad.json"
+    for key in ("item_labels", "feature_labels"):
+        for labels in ([-1] * 8, [0.5] * 8, [1.0] * 8, [True] * 8, [], [[0]] * 8,
+                       [0, 1] * 3, [0, 1] * 5, "01010101", 3):
+            bad.write_text(json.dumps({**report, key: labels}))
+            assert main(["evaluate", "--report", str(bad)]) == 1, (key, labels)
+            err = capsys.readouterr().err
+            assert err.startswith("error: "), (key, labels, err)
+            assert f"'{key}' must be a list of 8 non-negative integers" in err, err
+    bad.write_text(json.dumps({**report, "item_labels": [0, 1, 2, 0, 1, 2, 0, 1]}))
+    assert main(["evaluate", "--report", str(bad)]) == 0
+    assert json.loads(capsys.readouterr().out)["accuracy"] is not None
+
+
 def _mask_seconds(csv_text):
     lines = csv_text.strip().splitlines()
     out = [lines[0]]

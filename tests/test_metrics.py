@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from nmfcluster import metrics
 from nmfcluster.core import normalize_factors
 from nmfcluster.errors import (
     DegenerateFactorError,
@@ -59,6 +60,11 @@ def test_partition_validation():
         Partition(np.array([0, 2]), 2)
     with pytest.raises(DomainError):
         Partition(np.array([0]), 0)
+    for count in (2.5, 2.0, True, np.float64(2.0), "2"):
+        with pytest.raises(DomainError, match="n_clusters must be an integer"):
+            Partition([0, 1, 0], count)
+    p = Partition([0, 1, 0], np.int64(2))
+    assert type(p.n_clusters) is int and p.n_clusters == 2
 
 
 def test_as_partition_coercion():
@@ -257,6 +263,42 @@ def test_brute_force_more_clusters_than_elements():
 def test_brute_force_size_cap():
     with pytest.raises(SizeLimitError):
         brute_force_ratio_assoc(np.eye(13), 2)
+
+
+def test_brute_force_cluster_count_must_be_a_positive_integer():
+    for count in (2.0, 2.5, True, 0, -1, None):
+        with pytest.raises(DomainError, match="n_clusters must be an integer"):
+            brute_force_ratio_assoc(np.eye(4), count)
+    part, value = brute_force_ratio_assoc(np.eye(4), np.int64(2))
+    assert type(part.n_clusters) is int and part.n_clusters == 2
+    assert value == 2.0
+
+
+def test_brute_force_first_maximizer_on_non_symmetric_weights():
+    # RA sums both triangles of a bare weight array, so an element's link
+    # to a cluster is w[d, j] + w[j, d], not twice either one
+    rng = np.random.default_rng(28)
+    for n, k in itertools.product(range(1, 8), range(1, 5)):
+        w = rng.integers(0, 4, (n, n)).astype(float)
+        part, value = brute_force_ratio_assoc(w, k)
+        assert tuple(part.labels) == _first_maximizer_in_lex_order(w, k), (n, k, w)
+        assert value == ratio_association(w, part)
+
+
+def test_brute_force_small_blocks_match_the_default(monkeypatch):
+    # a tiny block size puts block and last-level boundaries everywhere
+    rng = np.random.default_rng(29)
+    cases = [(np.ones((8, 8)), 3), (np.eye(7), 4), (np.ones((5, 5)), 200)]
+    for n in (2, 5, 7, 9):
+        half = rng.random((n, n))
+        cases.append((half + half.T, int(rng.integers(1, 5))))
+        cases.append((rng.integers(0, 3, (n, n)).astype(float), 3))
+    default = [brute_force_ratio_assoc(w, k) for w, k in cases]
+    monkeypatch.setattr(metrics, "LABELING_BLOCK", 5)
+    for (w, k), (want, want_value) in zip(cases, default):
+        part, value = brute_force_ratio_assoc(w, k)
+        assert np.array_equal(part.labels, want.labels), (k, w)
+        assert value == want_value
 
 
 # ------------------------------------------------------ orthogonality metric
