@@ -11,6 +11,7 @@ parse failure, 3 data outside the valid domain.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -24,6 +25,7 @@ from .data_io import (
     read_csv_matrix,
     read_labels,
     read_matrix_market,
+    read_text,
     write_labels,
     write_matrix_market,
 )
@@ -200,8 +202,7 @@ def cmd_factorize(args):
 
 
 def cmd_evaluate(args):
-    with open(args.report, "r", encoding="ascii") as fh:
-        report = json.load(fh)
+    report = json.loads(read_text(args.report))
     item_labels, feature_labels = _labels_from_args(args)
     metrics = evaluate_report(
         report, item_labels=item_labels, feature_labels=feature_labels
@@ -254,6 +255,7 @@ def cmd_compare(args):
     return 0
 
 
+@functools.cache  # built on the first main call, then reused
 def _build_parser():
     parser = _Parser(
         prog="nmf-cluster",

@@ -5,10 +5,19 @@ Formats kept deliberately small:
 * MatrixMarket dense real matrices, ``coordinate`` (written when density
   < 0.5) or ``array`` (column-major values) layout, 1-based indices,
   ``%`` comment lines.  Values render with 17 significant digits so a
-  write/read round trip reproduces every float64 exactly.
+  write/read round trip reproduces every float64 exactly.  Both
+  directions work on whole arrays: the reader splits the body once and
+  converts all tokens in one ``np.array`` call (which accepts exactly
+  what ``int``/``float`` accept), and the writer formats every value in
+  one ``%`` operation, writing the same bytes as a value-by-value loop.
+  Only when a whole-array check fails does a line-by-line scan run, to
+  name the first faulty line.
 * CSV matrices: comma-separated decimals, no header.
 * Label files: one integer per line; on read the labels are re-indexed
   to a dense [0, K) range in order of first appearance.
+
+Every reader takes ASCII text only; another byte is a ParseError that
+names the file and the line.
 
 Generators plant known cluster structure (block-diagonal matrices, topic
 mixtures, undirected and directed partition graphs) and are
@@ -16,7 +25,10 @@ bit-deterministic per (spec, seed) via the PCG64 generator numpy names
 ``default_rng``.
 """
 
+import re
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, islice
 
 import numpy as np
 
@@ -106,6 +118,24 @@ class SyntheticSpec:
 
 
 # ---------------------------------------------------------------------------
+# Text files
+
+def read_text(path):
+    """The text of an ASCII file; a byte outside ASCII is a ParseError."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        at = re.search(rb"[^\x00-\x7f]", data).start()
+        lineno = len(data[:at + 1].splitlines())
+        raise ParseError(
+            f"{path}: not ASCII text, byte 0x{data[at]:02x} on line {lineno}"
+        ) from None
+
+
+# ---------------------------------------------------------------------------
 # MatrixMarket
 
 _MM_COORD = ("matrix", "coordinate", "real", "general")
@@ -117,40 +147,35 @@ def write_matrix_market(path, matrix):
     a = as_matrix(matrix, "matrix")
     rows, cols = a.shape
     nnz = int(np.count_nonzero(a))
-    lines = []
     if nnz / a.size < 0.5:
-        lines.append("%%MatrixMarket matrix coordinate real general")
-        lines.append(f"{rows} {cols} {nnz}")
-        for i in range(rows):
-            for j in range(cols):
-                if a[i, j] != 0.0:
-                    lines.append(f"{i + 1} {j + 1} {a[i, j]:.17g}")
+        i, j = np.nonzero(a)  # row-major, the order entries are written in
+        fields = zip((i + 1).tolist(), (j + 1).tolist(), a[i, j].tolist())
+        text = (f"%%MatrixMarket matrix coordinate real general\n{rows} {cols} {nnz}\n"
+                + ("%d %d %.17g\n" * nnz) % tuple(chain.from_iterable(fields)))
     else:
-        lines.append("%%MatrixMarket matrix array real general")
-        lines.append(f"{rows} {cols}")
-        for j in range(cols):
-            for i in range(rows):
-                lines.append(f"{a[i, j]:.17g}")
+        text = (f"%%MatrixMarket matrix array real general\n{rows} {cols}\n"
+                + ("%.17g\n" * a.size) % tuple(a.T.ravel().tolist()))
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
 
-def _parse_floats(parts, lineno, path):
-    try:
-        return [float(p) for p in parts]
-    except ValueError:
-        raise ParseError(f"{path}:{lineno}: expected numeric values, got {parts!r}") from None
+# On a body whose lines end in "\n" only: a comment line, and a body whose
+# every line is blank or holds three tokens ([^\S\n] is a blank within a line;
+# the possessive quantifiers never backtrack).  Plain strings, so that ``re``
+# compiles them on first use rather than at import.
+_COMMENT_LINE = r"(?m)^[^\S\n]*%.*$"
+_LINE_OF_THREE = r"[^\S\n]*+(?:\S++[^\S\n]++\S++[^\S\n]++\S++[^\S\n]*+)?+"
+_LINES_OF_THREE = rf"{_LINE_OF_THREE}(?:\n{_LINE_OF_THREE})*+"
 
 
 def read_matrix_market(path):
     """Read a real general MatrixMarket file (coordinate or array layout)."""
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read().splitlines()
-    if not raw:
+    lines = read_text(path).splitlines()
+    if not lines:
         raise ParseError(f"{path}:1: empty file")
-    header = raw[0].split()
+    header = lines[0].split()
     if len(header) != 5 or header[0] != "%%MatrixMarket":
-        raise ParseError(f"{path}:1: malformed MatrixMarket header {raw[0]!r}")
+        raise ParseError(f"{path}:1: malformed MatrixMarket header {lines[0]!r}")
     layout = tuple(tok.lower() for tok in header[1:])
     if layout not in (_MM_COORD, _MM_ARRAY):
         raise ParseError(
@@ -160,15 +185,11 @@ def read_matrix_market(path):
         )
     coordinate = layout == _MM_COORD
 
-    body = [
-        (lineno, line)
-        for lineno, line in enumerate(raw[1:], start=2)
-        if line.strip() and not line.lstrip().startswith("%")
-    ]
-    if not body:
+    for lineno, size_line in enumerate(islice(lines, 1, None), start=2):
+        if size_line.strip() and not size_line.lstrip().startswith("%"):
+            break
+    else:
         raise ParseError(f"{path}: missing size line")
-
-    lineno, size_line = body[0]
     parts = size_line.split()
     expected = 3 if coordinate else 2
     if len(parts) != expected:
@@ -182,48 +203,90 @@ def read_matrix_market(path):
     if dims[0] < 1 or dims[1] < 1 or (coordinate and dims[2] < 0):
         raise ParseError(f"{path}:{lineno}: non-positive dimensions in {size_line!r}")
     rows, cols = dims[0], dims[1]
-    out = np.zeros((rows, cols))
 
-    if coordinate:
-        nnz = dims[2]
-        entries = body[1:]
-        if len(entries) != nnz:
-            raise ParseError(
-                f"{path}: header promises {nnz} entries, file has {len(entries)}"
-            )
-        seen = {}
-        for lineno, line in entries:
-            parts = line.split()
-            if len(parts) != 3:
-                raise ParseError(f"{path}:{lineno}: entry needs 'i j value', got {line!r}")
-            try:
-                i, j = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: indices must be integers, got {line!r}") from None
-            value = _parse_floats(parts[2:], lineno, path)[0]
-            if not 1 <= i <= rows or not 1 <= j <= cols:
-                raise ParseError(
-                    f"{path}:{lineno}: index ({i}, {j}) outside 1-based bounds "
-                    f"({rows}, {cols})"
-                )
-            if (i, j) in seen:
-                raise ParseError(
-                    f"{path}:{lineno}: duplicate entry ({i}, {j}), first given "
-                    f"on line {seen[i, j]}"
-                )
-            seen[i, j] = lineno
-            out[i - 1, j - 1] = value
-    else:
-        values = []
-        for lineno, line in body[1:]:
-            values.extend(_parse_floats(line.split(), lineno, path))
-        if len(values) != rows * cols:
+    # The whole body at once: comment lines blanked, so the size line's
+    # tokens come first.  Any failed check hands over to _raise_first_fault.
+    body = "\n".join(islice(lines, 1, None))
+    if "%" in body:
+        body = re.sub(_COMMENT_LINE, "", body)
+    tokens = body.split()
+    raise_fault = partial(_raise_first_fault, path, lines, lineno, coordinate, dims)
+    if not coordinate:
+        try:
+            values = np.array(tokens[2:], dtype=float)
+        except ValueError:
+            raise_fault()
+        if values.size != rows * cols:
             raise ParseError(
                 f"{path}: array layout needs {rows * cols} values, file has "
-                f"{len(values)}"
+                f"{values.size}"
             )
-        out = np.asarray(values).reshape((cols, rows)).T.copy()
+        return values.reshape((cols, rows)).T.copy()
+
+    nnz = dims[2]
+    if len(tokens) != 3 * (nnz + 1) or not re.fullmatch(_LINES_OF_THREE, body):
+        raise_fault()
+    try:
+        i = np.array(tokens[3::3], dtype=np.int64) - 1
+        j = np.array(tokens[4::3], dtype=np.int64) - 1
+        values = np.array(tokens[5::3], dtype=float)
+    except (ValueError, OverflowError):
+        raise_fault()
+    inside = ((i >= 0) & (i < rows) & (j >= 0) & (j < cols)).all()
+    if not inside or np.unique(i * cols + j).size != nnz:
+        raise_fault()
+    out = np.zeros((rows, cols))
+    out[i, j] = values
     return out
+
+
+def _raise_first_fault(path, lines, size_lineno, coordinate, dims):
+    # The line-by-line reading, run only once a whole-array check of the
+    # body after line ``size_lineno`` has failed: it raises the ParseError
+    # of the first faulty line in file order.
+    body = [
+        (lineno, line)
+        for lineno, line in enumerate(islice(lines, size_lineno, None), start=size_lineno + 1)
+        if line.strip() and not line.lstrip().startswith("%")
+    ]
+    if coordinate and len(body) != dims[2]:
+        raise ParseError(
+            f"{path}: header promises {dims[2]} entries, file has {len(body)}"
+        )
+    rows, cols = dims[0], dims[1]
+    seen = {}
+    for lineno, line in body:
+        parts = line.split()
+        if not coordinate:
+            _check_floats(parts, lineno, path)
+            continue
+        if len(parts) != 3:
+            raise ParseError(f"{path}:{lineno}: entry needs 'i j value', got {line!r}")
+        try:
+            i, j = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: indices must be integers, got {line!r}") from None
+        _check_floats(parts[2:], lineno, path)
+        if not 1 <= i <= rows or not 1 <= j <= cols:
+            raise ParseError(
+                f"{path}:{lineno}: index ({i}, {j}) outside 1-based bounds "
+                f"({rows}, {cols})"
+            )
+        if (i, j) in seen:
+            raise ParseError(
+                f"{path}:{lineno}: duplicate entry ({i}, {j}), first given "
+                f"on line {seen[i, j]}"
+            )
+        seen[i, j] = lineno
+    raise AssertionError(f"{path}: a whole-array check failed on a body without faults")
+
+
+def _check_floats(parts, lineno, path):
+    try:
+        for p in parts:
+            float(p)
+    except ValueError:
+        raise ParseError(f"{path}:{lineno}: expected numeric values, got {parts!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -233,23 +296,22 @@ def read_csv_matrix(path):
     """Rectangular numeric CSV, no header row."""
     rows = []
     width = None
-    with open(path, "r", encoding="ascii") as fh:
-        for ridx, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if width is None:
-                width = len(parts)
-            elif len(parts) != width:
-                raise ParseError(
-                    f"{path}: ragged row {ridx}: expected {width} values, got "
-                    f"{len(parts)}"
-                )
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError:
-                raise ParseError(f"{path}: non-numeric value in row {ridx}") from None
+    for ridx, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if width is None:
+            width = len(parts)
+        elif len(parts) != width:
+            raise ParseError(
+                f"{path}: ragged row {ridx}: expected {width} values, got "
+                f"{len(parts)}"
+            )
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError:
+            raise ParseError(f"{path}: non-numeric value in row {ridx}") from None
     if not rows:
         raise ParseError(f"{path}: no data rows")
     return np.asarray(rows)
@@ -265,17 +327,16 @@ def write_csv_matrix(path, matrix):
 def read_labels(path):
     """One integer per line, re-indexed densely by first appearance."""
     raw = []
-    with open(path, "r", encoding="ascii") as fh:
-        for ridx, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw.append(int(line))
-            except ValueError:
-                raise ParseError(
-                    f"{path}: non-integer label {line!r} at line {ridx}"
-                ) from None
+    for ridx, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            raw.append(int(line))
+        except ValueError:
+            raise ParseError(
+                f"{path}: non-integer label {line!r} at line {ridx}"
+            ) from None
     if not raw:
         raise ParseError(f"{path}: no labels")
     remap = {}

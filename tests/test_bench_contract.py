@@ -27,7 +27,8 @@ def bench(monkeypatch):
 def test_tracing_resolves_the_names_it_reads(bench):
     names = set(bench["tracing"].public_functions().values())
     assert {"experiment.sweep_cell", "experiment.run_sweep", "cli.main",
-            "metrics.brute_force_ratio_assoc"} <= names
+            "metrics.brute_force_ratio_assoc", "data_io.read_matrix_market",
+            "data_io.write_matrix_market"} <= names
 
 
 def test_one_traced_sweep_round_passes_its_check(bench, tmp_path):
@@ -76,6 +77,29 @@ def test_report_block_op_passes_its_check_on_the_item_affinity_branch(bench, tmp
     workload.check(op, workload.run(op))
     with open(workload.paths["comparison.json"], encoding="ascii") as fh:
         assert json.load(fh)["spectral"]["operates_on"] == "item affinity"
+
+
+def test_report_mixture_op_passes_its_check_with_three_reads_and_one_write(bench, tmp_path):
+    # the 80 x 90 mixture-docs op: gen writes the array layout once, and
+    # factorize, evaluate and compare each read it back
+    tracing = bench["tracing"]
+    workload = bench["workloads"].Report(1, str(tmp_path))
+    op = workload.round(0)[3]
+    assert (op.spec.kind, op.spec.m, op.spec.n) == ("mixture-docs", 80, 90)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        workload.prepare()
+        printed = workload.run(op)
+        tracer.enabled = False
+        workload.check(op, printed)
+    finally:
+        tracer.uninstall()
+    with open(workload.paths["input.mtx"], encoding="ascii") as fh:
+        assert fh.readline() == "%%MatrixMarket matrix array real general\n"
+    table = tracing.span_table(tracer.spans(), tracer.names())
+    assert table["data_io.read_matrix_market"]["calls"] == 3
+    assert table["data_io.write_matrix_market"]["calls"] == 1
 
 
 def test_one_traced_converge_op_passes_its_check_with_six_starts(bench, tmp_path):

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 import nmfcluster
+from nmfcluster import cli
 from nmfcluster.cli import main
 from nmfcluster.data_io import read_matrix_market
 
@@ -231,6 +232,47 @@ def test_evaluate_corrupted_report(tmp_path, capsys):
     rc = main(["evaluate", "--report", str(bad)])
     assert rc == 2
     assert "JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, name, text", [
+    ("--input", "u.mtx", "%%MatrixMarket matrix array real general\n% caf\u00e9\n1 1\n1.0\n"),
+    ("--input", "m.csv", "1,2\n3,4\u00e9\n"),
+    ("--labels", "y.txt", "0\n\u00e9\n"),
+    ("--report", "r.json", '{\n"note": "caf\u00e9"}'),
+])
+def test_non_ascii_input_is_a_parse_error_naming_the_file(
+        dataset, tmp_path, capsys, flag, name, text):
+    matrix, _ = dataset
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    if flag == "--report":
+        argv = ["evaluate", "--report", str(path)]
+    else:
+        argv = ["factorize", "--input", str(matrix), "--k", "2", flag, str(path)]
+    assert main(argv) == 2
+    assert f"{path}: not ASCII text, byte 0xc3 on line 2" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_reused_without_leaking_state(dataset, tmp_path, capsys):
+    matrix, labels = dataset
+    cli._build_parser.cache_clear()
+    first, second = tmp_path / "traced.json", tmp_path / "plain.json"
+    assert main(["factorize", "--input", str(matrix), "--k", "2", "--labels",
+                 str(labels), "--trace", "--out", str(first)]) == 0
+    assert main(["factorize", "--input", str(matrix), "--k", "2",
+                 "--out", str(second)]) == 0
+    traced, plain = (json.loads(p.read_text()) for p in (first, second))
+    assert "trace" in traced and "trace" not in plain
+    assert traced["accuracy"] == 1.0 and plain["accuracy"] is None
+
+    gen = ["gen", "--kind", "planted-graph", "--n", "6", "--k", "2", "--seed", "3",
+           "--out-labels", str(tmp_path / "g.txt")]
+    assert main(gen + ["--out-matrix", str(tmp_path / "g1.mtx")]) == 0
+    assert main(["gen", "--kind", "planted-graph", "--n", "6"]) == 1
+    assert main(gen + ["--out-matrix", str(tmp_path / "g2.mtx")]) == 0
+    assert (tmp_path / "g1.mtx").read_bytes() == (tmp_path / "g2.mtx").read_bytes()
+    assert "required: --k" in capsys.readouterr().err
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_evaluate_malformed_report(dataset, tmp_path, capsys):

@@ -140,6 +140,123 @@ def test_mm_parse_errors(tmp_path):
         read_matrix_market(non_numeric)
 
 
+COORD = "%%MatrixMarket matrix coordinate real general\n"
+ARRAY = "%%MatrixMarket matrix array real general\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "e.mtx:1: empty file"),
+    (COORD + "% only a comment\n\n", "e.mtx: missing size line"),
+    (COORD + "2 2\n", "e.mtx:2: size line needs 3 integers, got '2 2'"),
+    (ARRAY + "% note\n2 2 4\n", "e.mtx:3: size line needs 2 integers, got '2 2 4'"),
+    (COORD + "2 x 1\n1 1 1.0\n", "e.mtx:2: size line must be integers, got '2 x 1'"),
+    (ARRAY + "2.0 2\n", "e.mtx:2: size line must be integers, got '2.0 2'"),
+    (COORD + "0 2 1\n1 1 1.0\n", "e.mtx:2: non-positive dimensions in '0 2 1'"),
+    (COORD + "2 2 -1\n", "e.mtx:2: non-positive dimensions in '2 2 -1'"),
+    (ARRAY + "2 -3\n", "e.mtx:2: non-positive dimensions in '2 -3'"),
+    (COORD + "2 2 2\n1 1 1.0\n2 2\n", "e.mtx:4: entry needs 'i j value', got '2 2'"),
+    (COORD + "2 2 2\n1 1 1.0 7\n2 2 1.0\n",
+     "e.mtx:3: entry needs 'i j value', got '1 1 1.0 7'"),
+    (COORD + "2 2 1\n1.0 1 1.0\n", "e.mtx:3: indices must be integers, got '1.0 1 1.0'"),
+    (COORD + "2 2 1\n1 1 one\n", "e.mtx:3: expected numeric values, got \\['one'\\]"),
+    (ARRAY + "2 2\n1.0\n2.0\n3.0\n", "e.mtx: array layout needs 4 values, file has 3"),
+    (ARRAY + "1 2\n1.0 2.0 3.0\n", "e.mtx: array layout needs 2 values, file has 3"),
+    (ARRAY + "2 1\n1.0\n2.0 x\n", "e.mtx:4: expected numeric values, got \\['2.0', 'x'\\]"),
+    (COORD + "2 2 2\n1 1 1.0\n\n", "e.mtx: header promises 2 entries, file has 1"),
+    # the first faulty line in file order wins, whatever the kinds of fault
+    (COORD + "2 2 3\n3 1 1.0\n1 1 1.0\nx 2 1.0\n",
+     r"e.mtx:3: index \(3, 1\) outside 1-based bounds \(2, 2\)"),
+    (COORD + "2 2 3\n1 1 1.0\n% note\n1 1 2.0\n2 2\n",
+     r"e.mtx:5: duplicate entry \(1, 1\), first given on line 3"),
+    (ARRAY + "2 1\n1.0 y\nx\n", "e.mtx:3: expected numeric values, got \\['1.0', 'y'\\]"),
+])
+def test_mm_every_parse_error(tmp_path, text, message):
+    path = tmp_path / "e.mtx"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"/{message}$"):
+        read_matrix_market(path)
+
+
+def test_mm_written_bytes(tmp_path):
+    # 17 significant digits, column-major values in the array layout; -0.0
+    # counts as a zero when choosing the layout, and keeps its sign
+    path = tmp_path / "golden.mtx"
+    write_matrix_market(path, [[-0.0, 1 / 3], [5e-324, 1e300]])
+    assert path.read_bytes() == (
+        b"%%MatrixMarket matrix array real general\n2 2\n-0\n"
+        b"4.9406564584124654e-324\n0.33333333333333331\n1.0000000000000001e+300\n"
+    )
+    sparse = np.zeros((3, 4))
+    sparse[0, 2], sparse[2, 0], sparse[2, 3] = 2.5, 1 / 3, 1e-300
+    write_matrix_market(path, sparse)
+    assert path.read_bytes() == (
+        b"%%MatrixMarket matrix coordinate real general\n3 4 3\n"
+        b"1 3 2.5\n3 1 0.33333333333333331\n3 4 1e-300\n"
+    )
+
+
+def _loop_mm_text(a):
+    # the writer value by value: the reference for the bytes written
+    rows, cols = a.shape
+    nnz = int(np.count_nonzero(a))
+    if nnz / a.size < 0.5:
+        lines = ["%%MatrixMarket matrix coordinate real general", f"{rows} {cols} {nnz}"]
+        lines += [f"{i + 1} {j + 1} {a[i, j]:.17g}"
+                  for i in range(rows) for j in range(cols) if a[i, j] != 0.0]
+    else:
+        lines = ["%%MatrixMarket matrix array real general", f"{rows} {cols}"]
+        lines += [f"{a[i, j]:.17g}" for j in range(cols) for i in range(rows)]
+    return "\n".join(lines) + "\n"
+
+
+def test_mm_round_trip_is_bit_identical(tmp_path):
+    rng = np.random.default_rng(52)
+    path = tmp_path / "r.mtx"
+    layouts = set()
+    for _ in range(200):
+        shape = rng.integers(1, 31, size=2)
+        scale = 10.0 ** rng.uniform(-300, 300)
+        kept = rng.uniform(size=shape) < rng.uniform()
+        a = np.where(kept, rng.uniform(size=shape) * scale, 0.0)
+        write_matrix_market(path, a)
+        text = path.read_text()
+        assert text == _loop_mm_text(a)
+        layouts.add(text.split(None, 3)[2])
+        back = read_matrix_market(path)
+        assert back.shape == a.shape and back.tobytes() == a.tobytes()
+        theirs = scipy.io.mmread(path)
+        theirs = theirs.toarray() if hasattr(theirs, "toarray") else theirs
+        assert np.array_equal(theirs, a)
+    assert layouts == {"array", "coordinate"}
+
+
+def test_mm_reads_crlf_tabs_and_comments_in_either_layout(tmp_path):
+    path = tmp_path / "crlf.mtx"
+    path.write_bytes(
+        b"%%MatrixMarket matrix coordinate real general\r\n% made by hand\r\n"
+        b"\r\n2 3 2\r\n\t1 3\t0.5 \r\n  % between entries\r\n\r\n2 1 4\r\n"
+    )
+    assert np.array_equal(read_matrix_market(path), [[0, 0, 0.5], [4, 0, 0]])
+    path.write_bytes(
+        b"%%MatrixMarket matrix array real general\r\n2 2\r\n% c\r\n1 2\r\n\r\n"
+        b"\t3\r\n4\r\n"
+    )
+    assert np.array_equal(read_matrix_market(path), [[1, 3], [2, 4]])
+
+
+@pytest.mark.parametrize("reader, name, text", [
+    (read_matrix_market, "u.mtx",
+     "%%MatrixMarket matrix array real general\n% caf\u00e9\n1 1\n1.0\n"),
+    (read_csv_matrix, "m.csv", "1,2\n3,4\u00e9\n"),
+    (read_labels, "y.txt", "0\n\u00e9\n"),
+])
+def test_non_ascii_byte_is_a_parse_error(tmp_path, reader, name, text):
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ParseError, match=f"{name}: not ASCII text, byte 0xc3 on line 2$"):
+        reader(path)
+
+
 def test_mm_density_threshold(tmp_path):
     half = np.array([[1.0, 1.0], [0.0, 0.0]])  # density exactly 0.5 -> array
     path = tmp_path / "half.mtx"
