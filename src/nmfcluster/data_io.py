@@ -160,12 +160,14 @@ def write_matrix_market(path, matrix):
 
 
 # On a body whose lines end in "\n" only: a comment line, and a body whose
-# every line is blank or holds three tokens ([^\S\n] is a blank within a line;
-# the possessive quantifiers never backtrack).  Plain strings, so that ``re``
-# compiles them on first use rather than at import.
+# every line is blank or holds three tokens ([^\S\n] is a blank within a line).
+# Each quantifier is followed by a class disjoint from its own, so a line
+# matches one way only and a failed match backtracks in linear time.  No
+# possessive quantifiers: ``re`` accepts them only from Python 3.11.  Plain
+# strings, so that ``re`` compiles them on first use rather than at import.
 _COMMENT_LINE = r"(?m)^[^\S\n]*%.*$"
-_LINE_OF_THREE = r"[^\S\n]*+(?:\S++[^\S\n]++\S++[^\S\n]++\S++[^\S\n]*+)?+"
-_LINES_OF_THREE = rf"{_LINE_OF_THREE}(?:\n{_LINE_OF_THREE})*+"
+_LINE_OF_THREE = r"[^\S\n]*(?:\S+[^\S\n]+\S+[^\S\n]+\S+[^\S\n]*)?"
+_LINES_OF_THREE = rf"{_LINE_OF_THREE}(?:\n{_LINE_OF_THREE})*"
 
 
 def read_matrix_market(path):
@@ -203,6 +205,9 @@ def read_matrix_market(path):
     if dims[0] < 1 or dims[1] < 1 or (coordinate and dims[2] < 0):
         raise ParseError(f"{path}:{lineno}: non-positive dimensions in {size_line!r}")
     rows, cols = dims[0], dims[1]
+    # Allocated first, so that a header too large for memory fails here, and
+    # the duplicate keys i * cols + j below stay under rows * cols.
+    out = np.zeros((rows, cols))
 
     # The whole body at once: comment lines blanked, so the size line's
     # tokens come first.  Any failed check hands over to _raise_first_fault.
@@ -221,7 +226,8 @@ def read_matrix_market(path):
                 f"{path}: array layout needs {rows * cols} values, file has "
                 f"{values.size}"
             )
-        return values.reshape((cols, rows)).T.copy()
+        out.T[...] = values.reshape((cols, rows))
+        return out
 
     nnz = dims[2]
     if len(tokens) != 3 * (nnz + 1) or not re.fullmatch(_LINES_OF_THREE, body):
@@ -235,7 +241,6 @@ def read_matrix_market(path):
     inside = ((i >= 0) & (i < rows) & (j >= 0) & (j < cols)).all()
     if not inside or np.unique(i * cols + j).size != nnz:
         raise_fault()
-    out = np.zeros((rows, cols))
     out[i, j] = values
     return out
 

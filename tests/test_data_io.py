@@ -4,10 +4,13 @@ scipy.io.mmread serves as the reference reader for the MatrixMarket
 round-trip checks; the package reader never depends on it.
 """
 
+import re
+
 import numpy as np
 import pytest
 import scipy.io
 
+from nmfcluster import data_io
 from nmfcluster.data_io import (
     SyntheticSpec,
     gen_block_diagonal,
@@ -242,6 +245,22 @@ def test_mm_reads_crlf_tabs_and_comments_in_either_layout(tmp_path):
         b"\t3\r\n4\r\n"
     )
     assert np.array_equal(read_matrix_market(path), [[1, 3], [2, 4]])
+
+
+def test_mm_header_too_large_fails_before_reading_entries(tmp_path):
+    # 2**62 squared wraps to 0 in int64: (1, 1) and (5, 1) would share the
+    # duplicate key i * cols + j had the entries been read before allocating
+    path = tmp_path / "huge.mtx"
+    path.write_text(COORD + f"{2 ** 62} {2 ** 62} 2\n1 1 1.0\n5 1 2.0\n")
+    with pytest.raises(ValueError, match="array is too big"):
+        read_matrix_market(path)
+
+
+def test_mm_patterns_need_no_python_3_11_syntax():
+    # possessive quantifiers and atomic groups reached ``re`` in 3.11; the
+    # package supports 3.10
+    for pattern in (data_io._COMMENT_LINE, data_io._LINES_OF_THREE):
+        assert not re.search(r"[*+?}]\+|\(\?>", pattern), pattern
 
 
 @pytest.mark.parametrize("reader, name, text", [
