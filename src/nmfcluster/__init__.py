@@ -10,71 +10,13 @@ ratio-association objective.  The ``nmf-cluster`` console script wraps
 the same pipeline.
 """
 
-from .affinity import AffinityMatrix, feature_affinity, item_affinity, symmetrize
-from .baselines import KmeansOptions, jacobi_eigen, kmeans, spectral_ratio_assoc
-from .core import (
-    ConvergenceTrace,
-    FactorPair,
-    frobenius_objective,
-    gradient_basis,
-    gradient_coefficients,
-    kkt_residual,
-    normalize_factors,
-)
-from .data_io import (
-    SyntheticSpec,
-    gen_block_diagonal,
-    gen_mixture_docs,
-    gen_planted_graph,
-    generate,
-    read_csv_matrix,
-    read_labels,
-    read_matrix_market,
-    write_csv_matrix,
-    write_labels,
-    write_matrix_market,
-)
-from .errors import (
-    ConvergenceError,
-    DegenerateFactorError,
-    DegenerateInputError,
-    DomainError,
-    ParseError,
-    RankError,
-    ShapeError,
-    SizeLimitError,
-    SpecError,
-)
-from .experiment import (
-    evaluate_factors,
-    evaluate_report,
-    run_compare,
-    run_experiment,
-    run_sweep,
-)
-from .metrics import (
-    Partition,
-    as_partition,
-    assign_features,
-    assign_items,
-    brute_force_ratio_assoc,
-    cluster_accuracy,
-    nmi,
-    orthogonality_deviation,
-    ratio_association,
-)
-from .solvers import (
-    NnlsProblem,
-    SolverOptions,
-    anls_basis_step,
-    anls_coefficient_step,
-    init_factors,
-    mu_step,
-    nmf_anls,
-    nmf_multiplicative,
-    nmf_orthogonal,
-    nnls_solve,
-    penalty_value,
-)
+from .affinity import *
+from .baselines import *
+from .core import *
+from .data_io import *
+from .errors import *
+from .experiment import *
+from .metrics import *
+from .solvers import *
 
 __version__ = "0.1.0"

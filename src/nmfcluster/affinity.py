@@ -22,10 +22,16 @@ __all__ = [
     "item_affinity",
     "feature_affinity",
     "symmetrize",
-    "weights_array",
 ]
 
 KINDS = ("item", "feature", "undirected", "symmetrized-directed")
+
+# the largest |W - W^T| entry a matrix may have and still count as symmetric
+_SYMMETRY_TOLERANCE = 1e-10
+
+
+def _is_symmetric(m):
+    return m.shape[0] == m.shape[1] and float(np.abs(m - m.T).max()) <= _SYMMETRY_TOLERANCE
 
 
 @dataclass(frozen=True)
@@ -42,7 +48,7 @@ class AffinityMatrix:
             raise ShapeError(f"affinity must be square, got shape {m.shape}")
         if self.kind not in KINDS:
             raise DomainError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if np.abs(m - m.T).max() > 1e-10:
+        if not _is_symmetric(m):
             i, j = np.unravel_index(int(np.abs(m - m.T).argmax()), m.shape)
             raise DomainError(
                 f"affinity is asymmetric at ({i}, {j}): "

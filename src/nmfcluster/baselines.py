@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affinity import weights_array
+from .affinity import _is_symmetric, weights_array
 from .core import _integer_fields, _rank, as_matrix
 from .errors import DomainError, RankError
 from .metrics import Partition
@@ -125,8 +125,8 @@ def jacobi_eigen(affinity):
     rotations.
     """
     w = weights_array(affinity)
-    asym = float(np.abs(w - w.T).max())
-    if asym > 1e-10:
+    if not _is_symmetric(w):
+        asym = float(np.abs(w - w.T).max())
         raise DomainError(f"matrix is asymmetric by {asym:.3e}; symmetrize it first")
     values, vecs = np.linalg.eigh(w)
     order = np.argsort(-values, kind="stable")

@@ -16,8 +16,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .data_io import (
     KINDS,
     SyntheticSpec,
@@ -29,15 +27,7 @@ from .data_io import (
     write_labels,
     write_matrix_market,
 )
-from .errors import (
-    ConvergenceError,
-    DegenerateFactorError,
-    DomainError,
-    ParseError,
-    RankError,
-    SizeLimitError,
-    SpecError,
-)
+from .errors import ConvergenceError, DegenerateFactorError, DomainError, ParseError
 from .experiment import (
     SOLVERS,
     evaluate_report,
@@ -46,12 +36,13 @@ from .experiment import (
     run_sweep,
     summary_rows_to_csv,
 )
-from .solvers import ORTHO_MODES, SolverOptions
+from .solvers import DIAGNOSTIC_STRIDE, ORTHO_MODES, SolverOptions
 
 __all__ = ["main"]
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
+    # exits 1 through main's ValueError clause, like an invalid specification
     pass
 
 
@@ -61,16 +52,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
 def _emit(payload, out_path):
-    text = json.dumps(payload, indent=2, default=_json_default)
+    text = json.dumps(payload, indent=2)
     if out_path:
         with open(out_path, "w", encoding="ascii") as fh:
             fh.write(text + "\n")
@@ -80,25 +63,25 @@ def _emit(payload, out_path):
 
 def _add_spec_flags(p):
     p.add_argument("--kind", required=True, choices=KINDS, help="dataset family")
-    p.add_argument("--m", type=int, default=0,
+    p.add_argument("--m", type=int, default=SyntheticSpec.m,
                    help="feature count (matrix kinds only)")
     p.add_argument("--n", type=int, required=True,
                    help="item count, or vertex count for graph kinds")
     p.add_argument("--k", type=int, required=True, help="planted cluster count")
-    p.add_argument("--noise", type=float, default=0.0,
+    p.add_argument("--noise", type=float, default=SyntheticSpec.noise,
                    help="off-block / additive noise level in [0, 1)")
-    p.add_argument("--overlap", type=float, default=0.0,
+    p.add_argument("--overlap", type=float, default=SyntheticSpec.overlap,
                    help="non-dominant topic weight (mixture-docs)")
 
 
 def _add_solver_flags(p, with_seed=True):
-    p.add_argument("--max-iterations", type=int, default=500)
-    p.add_argument("--tolerance", type=float, default=1e-6)
-    p.add_argument("--window", type=int, default=10)
+    p.add_argument("--max-iterations", type=int, default=SolverOptions.max_iterations)
+    p.add_argument("--tolerance", type=float, default=SolverOptions.tolerance)
+    p.add_argument("--window", type=int, default=SolverOptions.window)
     if with_seed:
-        p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=1)
-    p.add_argument("--epsilon-guard", type=float, default=1e-12)
+        p.add_argument("--seed", type=int, default=SolverOptions.seed)
+    p.add_argument("--restarts", type=int, default=SolverOptions.restarts)
+    p.add_argument("--epsilon-guard", type=float, default=SolverOptions.epsilon_guard)
 
 
 def _spec_from_args(args, seed):
@@ -113,20 +96,16 @@ def _spec_from_args(args, seed):
     )
 
 
-def _options_from_args(args, ortho_mode="none", penalty=0.0):
-    try:
-        return SolverOptions(
-            max_iterations=args.max_iterations,
-            tolerance=args.tolerance,
-            window=args.window,
-            seed=getattr(args, "seed", 0),
-            restarts=args.restarts,
-            epsilon_guard=args.epsilon_guard,
-            ortho_mode=ortho_mode,
-            penalty=penalty,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+def _options_from_args(args, **ortho):
+    return SolverOptions(
+        max_iterations=args.max_iterations,
+        tolerance=args.tolerance,
+        window=args.window,
+        seed=getattr(args, "seed", SolverOptions.seed),
+        restarts=args.restarts,
+        epsilon_guard=args.epsilon_guard,
+        **ortho,
+    )
 
 
 def _labels_from_args(args):
@@ -265,7 +244,7 @@ def _build_parser():
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")
     _add_spec_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=SyntheticSpec.seed)
     p.add_argument("--out-matrix", default="matrix.mtx",
                    help="MatrixMarket output path")
     p.add_argument("--out-labels", default="labels.csv",
@@ -288,7 +267,7 @@ def _build_parser():
     p.add_argument("--trace", action="store_true",
                    help="include the trace in the report: the objective at "
                         "every iteration, the KKT and Gram diagnostics every "
-                        "10 iterations and at the final point")
+                        f"{DIAGNOSTIC_STRIDE} iterations and at the final point")
     p.add_argument("--out", default=None, help="report path (default: stdout)")
     p.set_defaults(func=cmd_factorize)
 
@@ -328,9 +307,6 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -340,7 +316,7 @@ def main(argv=None):
     except (DomainError, DegenerateFactorError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (SpecError, RankError, SizeLimitError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -21,9 +21,6 @@ import numpy as np
 from .errors import DegenerateFactorError, DomainError, RankError, ShapeError
 
 __all__ = [
-    "as_matrix",
-    "as_vector",
-    "require_nonnegative",
     "frobenius_objective",
     "gradient_basis",
     "gradient_coefficients",

@@ -207,7 +207,10 @@ def read_matrix_market(path):
     rows, cols = dims[0], dims[1]
     # Allocated first, so that a header too large for memory fails here, and
     # the duplicate keys i * cols + j below stay under rows * cols.
-    out = np.zeros((rows, cols))
+    try:
+        out = np.zeros((rows, cols))
+    except (ValueError, MemoryError) as exc:
+        raise ParseError(f"{path}:{lineno}: {rows} x {cols} matrix does not fit: {exc}") from None
 
     # The whole body at once: comment lines blanked, so the size line's
     # tokens come first.  Any failed check hands over to _raise_first_fault.
@@ -407,12 +410,8 @@ def gen_mixture_docs(spec):
     for block in range(spec.k):
         rows = feature_labels == block
         topics[rows, block] = rng.uniform(0.5, 1.0, size=int(rows.sum()))
-    weights = np.full((spec.k, spec.n), 0.0)
-    for n in range(spec.n):
-        z = item_labels[n]
-        if spec.k > 1:
-            weights[:, n] = spec.overlap / (spec.k - 1)
-        weights[z, n] = 1.0 - spec.overlap
+    weights = np.full((spec.k, spec.n), spec.overlap / (spec.k - 1) if spec.k > 1 else 0.0)
+    weights[item_labels, np.arange(spec.n)] = 1.0 - spec.overlap
     a = topics @ weights
     if spec.noise > 0.0:
         a = a + spec.noise * rng.poisson(1.0, size=(spec.m, spec.n))

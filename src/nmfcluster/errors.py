@@ -4,6 +4,18 @@ Everything derives from ValueError or RuntimeError so callers that do not
 care about the fine distinctions can still catch broadly.
 """
 
+__all__ = [
+    "ShapeError",
+    "DomainError",
+    "DegenerateInputError",
+    "DegenerateFactorError",
+    "RankError",
+    "SpecError",
+    "SizeLimitError",
+    "ParseError",
+    "ConvergenceError",
+]
+
 
 class ShapeError(ValueError):
     """An array has the wrong number of dimensions or incompatible shape."""

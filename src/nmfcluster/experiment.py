@@ -20,7 +20,7 @@ from itertools import product
 
 import numpy as np
 
-from .affinity import feature_affinity, item_affinity
+from .affinity import _is_symmetric, feature_affinity, item_affinity
 from .baselines import KmeansOptions, kmeans, spectral_ratio_assoc
 from .core import _as_int, as_matrix, frobenius_objective, kkt_residual, normalize_factors
 from .data_io import (
@@ -44,14 +44,11 @@ from .metrics import (
 from .solvers import SolverOptions, nmf_anls, nmf_multiplicative, nmf_orthogonal
 
 __all__ = [
-    "SCHEMA_VERSION",
-    "SUMMARY_COLUMNS",
     "run_experiment",
     "run_compare",
     "evaluate_report",
     "evaluate_factors",
     "run_sweep",
-    "summary_rows_to_csv",
 ]
 
 SCHEMA_VERSION = "2"
@@ -219,10 +216,6 @@ def run_experiment(
     return report
 
 
-def _symmetric_square(data):
-    return data.shape[0] == data.shape[1] and float(np.abs(data - data.T).max()) <= 1e-10
-
-
 def _baseline(part, seconds, aff_items, item_labels, **extra):
     # one baseline's section of a comparison, scored like the NMF partition
     ra, accuracy, item_nmi = _score(aff_items, part, item_labels)
@@ -271,7 +264,7 @@ def run_compare(
 
     aff_items = item_affinity(data)
     started = time.perf_counter()
-    on_input = _symmetric_square(data)
+    on_input = _is_symmetric(data)
     sp_part = spectral_ratio_assoc(data if on_input else aff_items, k, seed=options.seed)
     sp_seconds = time.perf_counter() - started
     spectral_on = "input matrix" if on_input else "item affinity"

@@ -45,7 +45,6 @@ from .errors import (
 )
 
 __all__ = [
-    "ORTHO_MODES",
     "SolverOptions",
     "NnlsProblem",
     "init_factors",

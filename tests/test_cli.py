@@ -25,7 +25,7 @@ import pytest
 import nmfcluster
 from nmfcluster import cli
 from nmfcluster.cli import main
-from nmfcluster.data_io import read_matrix_market
+from nmfcluster.data_io import read_matrix_market, write_csv_matrix
 
 
 def _gen(tmp_path, seed=0, **over):
@@ -108,6 +108,17 @@ def test_gen_refusal_writes_nothing(tmp_path, capsys):
     assert not matrix.exists() and not labels.exists()
 
 
+def test_gen_writes_block_diagonal_feature_labels(tmp_path, capsys):
+    features = tmp_path / "f.txt"
+    rc = main(["gen", "--kind", "block-diagonal", "--m", "7", "--n", "6", "--k", "3",
+               "--out-matrix", str(tmp_path / "a.mtx"),
+               "--out-labels", str(tmp_path / "y.txt"),
+               "--out-feature-labels", str(features)])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["m"] == 7
+    assert features.read_text() == "0\n0\n0\n1\n1\n2\n2\n"
+
+
 @pytest.fixture
 def dataset(tmp_path):
     subdir = tmp_path / "data"
@@ -156,6 +167,18 @@ def test_factorize_trace_flag(dataset, tmp_path):
     assert report["trace"]["iteration"][0] == 0
 
 
+def test_factorize_ortho_trace_records_the_penalized_objective(dataset, tmp_path):
+    matrix, _ = dataset
+    out = tmp_path / "report.json"
+    rc = main(["factorize", "--input", str(matrix), "--k", "2", "--solver", "ortho",
+               "--ortho-mode", "both", "--lambda", "0.5", "--trace", "--out", str(out)])
+    assert rc == 0
+    report = json.loads(out.read_text())
+    trace = report["trace"]
+    assert len(trace["penalized"]) == len(trace["objective"]) == report["iterations"] + 1
+    assert all(p >= f for p, f in zip(trace["penalized"], trace["objective"]))
+
+
 def test_factorize_non_converged_still_succeeds(dataset, tmp_path):
     matrix, _ = dataset
     out = tmp_path / "report.json"
@@ -181,6 +204,10 @@ def test_factorize_usage_errors(dataset, tmp_path, capsys):
                  "--ortho-mode", "rows_of_C"]) == 1
     assert "--solver ortho" in capsys.readouterr().err
 
+    assert main(["factorize", "--input", str(matrix), "--k", "2",
+                 "--lambda", "0.5"]) == 1
+    assert capsys.readouterr().err == "error: --lambda requires --solver ortho\n"
+
     assert main(["factorize", "--input", str(matrix), "--k", "2", "--solver", "ortho",
                  "--ortho-mode", "rows_of_C", "--lambda", "nan"]) == 1
     assert "penalty must be finite" in capsys.readouterr().err
@@ -189,6 +216,16 @@ def test_factorize_usage_errors(dataset, tmp_path, capsys):
 def test_factorize_missing_input(tmp_path, capsys):
     rc = main(["factorize", "--input", str(tmp_path / "absent.mtx"), "--k", "2"])
     assert rc == 2
+
+
+def test_factorize_header_too_large_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "huge.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                    f"{2 ** 62} {2 ** 62} 2\n1 1 1.0\n5 1 2.0\n")
+    assert main(["factorize", "--input", str(path), "--k", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:2: {2 ** 62} x {2 ** 62} matrix does not fit: "
+                          "array is too big"), err
 
 
 def test_factorize_negative_data(tmp_path, capsys):
@@ -212,6 +249,26 @@ def test_evaluate_round_trip(dataset, tmp_path, capsys):
     assert metrics["objective"] == pytest.approx(report["objective"], abs=1e-10)
     assert metrics["accuracy"] == report["accuracy"]
     assert metrics["kkt_b"] == pytest.approx(report["kkt_b"], abs=1e-10)
+
+
+def test_evaluate_report_of_a_csv_input(dataset, tmp_path, capsys):
+    matrix, labels = dataset
+    csv_path, report_path = tmp_path / "a.csv", tmp_path / "report.json"
+    write_csv_matrix(csv_path, read_matrix_market(matrix))
+    assert main(["factorize", "--input", str(csv_path), "--k", "2",
+                 "--labels", str(labels), "--out", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    assert report["input"] == {"path": str(csv_path), "format": "csv"}
+
+    assert main(["evaluate", "--report", str(report_path)]) == 0
+    metrics = json.loads(capsys.readouterr().out)
+    assert metrics["objective"] == report["objective"]
+    assert metrics["accuracy"] == report["accuracy"] == 1.0
+
+    # the report is re-read from the CSV file, so a broken file is a parse error
+    csv_path.write_text("1,2\n3\n")
+    assert main(["evaluate", "--report", str(report_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {csv_path}")
 
 
 def test_evaluate_without_labels_gives_nulls(dataset, tmp_path, capsys):
@@ -408,6 +465,28 @@ def test_sweep_empty_seed_range(tmp_path, capsys):
     )
     assert rc == 1
     assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seeds", ["a..b", "x", "1..", "1.5"])
+def test_sweep_malformed_seeds(tmp_path, capsys, seeds):
+    rc = main(["sweep", "--kind", "block-diagonal", "--m", "8", "--n", "8", "--k", "2",
+               "--seeds", seeds, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: --seeds wants an integer or a..b range, got {seeds!r}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--solvers", "mu", "ortho"], "sweeping the ortho solver needs --ortho-mode"),
+    (["--ortho-mode", "rows_of_C"], "--ortho-mode requires the ortho solver"),
+])
+def test_sweep_ortho_flag_errors(tmp_path, capsys, flags, message):
+    rc = main(["sweep", "--kind", "block-diagonal", "--m", "8", "--n", "8", "--k", "2",
+               "--seeds", "0", *flags, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_compare_merged_report(dataset, tmp_path):

@@ -256,6 +256,15 @@ def test_mm_header_too_large_fails_before_reading_entries(tmp_path):
         read_matrix_market(path)
 
 
+def test_mm_header_too_large_is_a_parse_error_naming_the_size_line(tmp_path):
+    path = tmp_path / "huge.mtx"
+    path.write_text(COORD + f"% big\n{2 ** 62} {2 ** 61} 1\n1 1 1.0\n")
+    with pytest.raises(ParseError, match=(
+            rf"^{re.escape(str(path))}:3: {2 ** 62} x {2 ** 61} matrix does not fit: "
+            "array is too big")):
+        read_matrix_market(path)
+
+
 def test_mm_patterns_need_no_python_3_11_syntax():
     # possessive quantifiers and atomic groups reached ``re`` in 3.11; the
     # package supports 3.10
@@ -415,6 +424,39 @@ def test_mixture_docs_deterministic():
     a1, _ = gen_mixture_docs(spec)
     a2, _ = gen_mixture_docs(spec)
     assert np.array_equal(a1, a2)
+
+
+def _mixture_docs_by_loop(spec):
+    # the generator written item by item, as the reference for its array form
+    rng = np.random.default_rng(spec.seed)
+    feature_labels = data_io._contiguous_labels(spec.m, spec.k)
+    item_labels = data_io._contiguous_labels(spec.n, spec.k)
+    topics = np.zeros((spec.m, spec.k))
+    for block in range(spec.k):
+        rows = feature_labels == block
+        topics[rows, block] = rng.uniform(0.5, 1.0, size=int(rows.sum()))
+    weights = np.zeros((spec.k, spec.n))
+    for n in range(spec.n):
+        if spec.k > 1:
+            weights[:, n] = spec.overlap / (spec.k - 1)
+        weights[item_labels[n], n] = 1.0 - spec.overlap
+    a = topics @ weights
+    if spec.noise > 0.0:
+        a = a + spec.noise * rng.poisson(1.0, size=(spec.m, spec.n))
+    return a
+
+
+@pytest.mark.parametrize("m, n, k, overlap, noise, seed", [
+    (10, 8, 2, 0.2, 0.1, 5),
+    (9, 7, 3, 0.45, 0.0, 1),
+    (12, 10, 4, 0.0, 0.3, 2),
+    (5, 4, 1, 0.3, 0.2, 3),
+])
+def test_mixture_docs_equal_the_per_item_loop(m, n, k, overlap, noise, seed):
+    spec = SyntheticSpec(kind="mixture-docs", m=m, n=n, k=k, overlap=overlap,
+                         noise=noise, seed=seed)
+    a, _ = gen_mixture_docs(spec)
+    assert a.tobytes() == _mixture_docs_by_loop(spec).tobytes()
 
 
 def test_mixture_docs_pipeline_recovery():

@@ -7,6 +7,7 @@ import pytest
 
 from nmfcluster.data_io import SyntheticSpec, generate, write_matrix_market
 from nmfcluster.errors import SpecError
+from nmfcluster.metrics import Partition
 from nmfcluster.experiment import (
     SCHEMA_VERSION,
     SUMMARY_COLUMNS,
@@ -121,6 +122,17 @@ def test_evaluate_report_reproduces_file_input(tmp_path):
     assert again["objective"] == pytest.approx(report["objective"], abs=1e-10)
     assert again["accuracy"] == report["accuracy"]
     assert again["feature_accuracy"] is None
+
+
+def test_evaluate_report_prefers_the_callers_labels():
+    report = _small_report()
+    assert report["accuracy"] == report["feature_accuracy"] == 1.0
+    swapped = Partition(np.array([0, 1] * 4), 2)
+    again = evaluate_report(report, item_labels=swapped, feature_labels=swapped)
+    assert again["accuracy"] == again["feature_accuracy"] == 0.5
+    # the stored labels still apply to whichever side the caller leaves out
+    again = evaluate_report(report, item_labels=swapped)
+    assert again["accuracy"] == 0.5 and again["feature_accuracy"] == 1.0
 
 
 def test_evaluate_report_needs_a_source():
