@@ -375,7 +375,8 @@ def run_sweep(spec, solvers, seeds, lambdas, base_options=None):
     cell in (solver, seed, lambda) sort order.  Lambda reaches only the
     ortho solver, so a mu or anls run is computed once per seed and its
     report repeated for each lambda, differing only in ``lambda``; the
-    repeated reports share their nested lists.
+    repeated reports share their nested lists.  Every lambda must be
+    finite and >= 0, whichever solvers run.
     """
     if base_options is None:
         base_options = SolverOptions()
@@ -388,6 +389,8 @@ def run_sweep(spec, solvers, seeds, lambdas, base_options=None):
         raise SpecError("no solvers selected")
     if not lambdas:
         lambdas = [0.0]
+    for lam in lambdas:
+        replace(base_options, penalty=lam)  # raises on a bad penalty
     for solver in solvers:
         if solver not in SOLVERS:
             raise SpecError(f"unknown solver {solver!r}; choose from {SOLVERS}")

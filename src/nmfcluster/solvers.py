@@ -14,9 +14,9 @@ nonnegative factors:
 All three run through one restart-and-stop driver that takes the
 per-iteration step as a function.  The driver runs all restarts as one
 stacked iteration, one step for the whole stack, with results equal to
-running them one at a time; every active restart is diagnosed on the
-stride.  Every solver returns a (FactorPair, ConvergenceTrace) pair and
-is deterministic given (data, rank, options).
+running them one at a time; each restart keeps its own trace and stopping
+rule.  Every solver returns a (FactorPair, ConvergenceTrace) pair and is
+deterministic given (data, rank, options).
 """
 
 import warnings
@@ -73,7 +73,8 @@ class SolverOptions:
     iterations falls below ``tolerance``.  ``penalty`` is the
     orthogonality weight (the lambda of the penalized objective; the name
     ``lambda`` is reserved in Python) and is ignored when
-    ``ortho_mode == "none"``.
+    ``ortho_mode == "none"``.  Only ``nmf_orthogonal`` reads ``ortho_mode``
+    and ``penalty``; ``nmf_multiplicative`` and ``nmf_anls`` ignore both.
     """
 
     max_iterations: int = 500
@@ -210,75 +211,76 @@ def penalty_value(basis, coef, options):
     return 0.5 * lam * total
 
 
-class _Recorder:
-    """Accumulates the trace of one restart.
+class _Restart:
+    """One restart of ``_run``'s stacked iteration: its trace, its stopping
+    rule and its latest iterate, which is its result once it has ended.
 
-    The objective (and the penalized value) is recorded on every
-    iteration from the residual B C - A the driver computed for the whole
-    stack; the KKT norms and Gram off-diagonal energies every
-    DIAGNOSTIC_STRIDE iterations, for every active restart, and by
-    ``finish`` at the final one, for the winner only.
+    The objective (and the penalized value, kept when ortho_mode is not
+    none) is recorded on every iteration from the residual B C - A that
+    ``_run`` computed for the whole stack; the KKT norms and Gram
+    off-diagonal energies every DIAGNOSTIC_STRIDE iterations, and at the
+    final one.
     """
 
-    def __init__(self, data, penalized):
-        self.data = data
+    def __init__(self, options):
+        self.options = options
+        # read on every iteration, so kept off the options object
+        self.window = options.window
+        self.tolerance = options.tolerance
+        self.cap = options.max_iterations
         self.objective = []
-        self.diagnostic_iteration = []
-        self.kkt_basis = []
-        self.kkt_coef = []
-        self.basis_offdiag = []
-        self.coef_offdiag = []
-        self.penalized = [] if penalized else None
+        self.penalized = [] if options.ortho_mode != "none" else None
+        # (iteration, KKT norm of B, of C, Gram off-diagonal energy of B, of C)
+        self.diagnostics = []
         # the values the window rule and the choice of restart read
         self.monitored = self.objective if self.penalized is None else self.penalized
 
-    def add(self, t, basis, coef, options, residual):
+    def add(self, t, basis, coef, residual):
+        """Record iteration t, called at t = 0, 1, 2, ...; True once ended."""
         obj = 0.5 * float(np.vdot(residual, residual))
         self.objective.append(obj)
         if self.penalized is not None:
-            self.penalized.append(obj + penalty_value(basis, coef, options))
+            self.penalized.append(obj + penalty_value(basis, coef, self.options))
         if t % DIAGNOSTIC_STRIDE == 0:
             self._diagnose(t, basis, coef, residual)
-
-    def finish(self, basis, coef):
-        t = self.last_iteration()
-        if self.diagnostic_iteration[-1] != t:
-            self._diagnose(t, basis, coef, basis @ coef - self.data)
+        # monitored[0] is the initial point; one test needs window+1 entries
+        fired = False
+        if t >= self.window:
+            prev = self.monitored[-1 - self.window]
+            fired = prev <= 0.0 or (prev - self.monitored[-1]) / prev < self.tolerance
+        # a window rule that fires at the cap still counts as converged
+        self.last = (t, basis, coef, residual, fired)
+        return fired or t == self.cap
 
     def _diagnose(self, t, basis, coef, residual):
-        kkt_b, kkt_c = _kkt_norms(basis, coef, residual)
-        self.diagnostic_iteration.append(t)
-        self.kkt_basis.append(kkt_b)
-        self.kkt_coef.append(kkt_c)
-        self.basis_offdiag.append(_offdiag_energy(basis.T @ basis))
-        self.coef_offdiag.append(_offdiag_energy(coef @ coef.T))
+        self.diagnostics.append((t, *_kkt_norms(basis, coef, residual),
+                                 _offdiag_energy(basis.T @ basis),
+                                 _offdiag_energy(coef @ coef.T)))
 
-    def last_iteration(self):
-        # add is called at t = 0, 1, 2, ...
-        return len(self.objective) - 1
-
-    def trace(self):
-        return ConvergenceTrace(
-            iteration=np.arange(len(self.objective)),
-            objective=np.asarray(self.objective),
-            kkt_basis=np.asarray(self.kkt_basis),
-            kkt_coef=np.asarray(self.kkt_coef),
-            basis_offdiag=np.asarray(self.basis_offdiag),
-            coef_offdiag=np.asarray(self.coef_offdiag),
-            penalized=None if self.penalized is None else np.asarray(self.penalized),
-            diagnostic_iteration=np.asarray(self.diagnostic_iteration),
+    def result(self, k):
+        """The (FactorPair, ConvergenceTrace) of the last recorded iteration."""
+        t, basis, coef, residual, converged = self.last
+        if self.diagnostics[-1][0] != t:
+            self._diagnose(t, basis, coef, residual)
+        iteration, kkt_b, kkt_c, basis_off, coef_off = map(np.asarray, zip(*self.diagnostics))
+        pair = FactorPair(
+            basis=basis,
+            coefficients=coef,
+            rank=k,
+            objective=self.objective[-1],
+            iterations=t,
+            converged=converged,
         )
-
-
-def _window_stop(values, window, tolerance):
-    # values[0] is the initial point; need window+1 entries for one test
-    if len(values) <= window:
-        return False
-    prev = values[-1 - window]
-    cur = values[-1]
-    if prev <= 0.0:
-        return True
-    return (prev - cur) / prev < tolerance
+        return pair, ConvergenceTrace(
+            iteration=np.arange(t + 1),
+            objective=np.asarray(self.objective),
+            kkt_basis=kkt_b,
+            kkt_coef=kkt_c,
+            basis_offdiag=basis_off,
+            coef_offdiag=coef_off,
+            penalized=None if self.penalized is None else np.asarray(self.penalized),
+            diagnostic_iteration=iteration,
+        )
 
 
 def _validate_problem(data, k):
@@ -293,14 +295,14 @@ def _run(data, k, options, step):
     """All restarts as one stacked iteration, equal to running them one at
     a time.
 
-    Restart r starts from seed ``options.seed + r``.  The active restarts'
-    factors are stacked as (R, m, k) and (R, k, n), and one call of
-    ``step(data, basis, coef, options)`` updates the whole stack; once one
-    restart is left it iterates on plain 2-D factors.  Each restart keeps
-    its own recorder, which diagnoses it on the stride while it is active,
-    and leaves the stack when its window rule fires or it hits the cap.
-    The lowest final monitored value wins, the earliest restart on ties,
-    and the trace covers the winner only.
+    Restart r starts from seed ``options.seed + r``.  The running
+    restarts' factors are stacked as (R, m, k) and (R, k, n), and one call
+    of ``step(data, basis, coef, options)`` updates the whole stack; once
+    one restart is left it iterates on plain 2-D factors.  Each restart is
+    a ``_Restart`` that records its own trace and applies its own stopping
+    rule; a restart leaves the stack once it has ended.  The lowest final
+    monitored value wins, the earliest restart on ties, and the trace
+    covers the winner only.
     """
     data, k = _validate_problem(data, k)
     m, n = data.shape
@@ -308,47 +310,26 @@ def _run(data, k, options, step):
               for r in range(options.restarts)]
     basis = np.stack([start.basis for start in starts])
     coef = np.stack([start.coefficients for start in starts])
-    recs = [_Recorder(data, penalized=options.ortho_mode != "none") for _ in starts]
-    ends = [None] * len(starts)
-    active = list(range(len(starts)))
-    cap, window, tolerance = options.max_iterations, options.window, options.tolerance
-    for t in range(cap + 1):
-        if len(active) == 1 and basis.ndim == 3:
+    restarts = running = [_Restart(options) for _ in starts]
+    for t in range(options.max_iterations + 1):
+        if len(running) == 1 and basis.ndim == 3:
             basis, coef = basis[0], coef[0]
         if t > 0:
             basis, coef = step(data, basis, coef, options)
         residual = basis @ coef - data
-        stack = (basis, coef, residual) if basis.ndim == 3 else ((basis,), (coef,), (residual,))
-        left = []
-        for r, b, c, res in zip(active, *stack):
-            recs[r].add(t, b, c, options, res)
-            # a window rule that fires at the cap still counts as converged
-            fired = _window_stop(recs[r].monitored, window, tolerance)
-            if fired or t == cap:
-                ends[r] = (b, c, fired)
-            else:
-                left.append(r)
-        if len(left) < len(active):
-            if basis.ndim == 3:
-                keep = [active.index(r) for r in left]
-                basis, coef = basis[keep], coef[keep]
-            active = left
-        if not active:
+        if basis.ndim == 2:
+            if running[0].add(t, basis, coef, residual):
+                break
+            continue
+        keep = [i for i, (run, b, c, res) in enumerate(zip(running, basis, coef, residual))
+                if not run.add(t, b, c, res)]
+        if not keep:
             break
+        if len(keep) < len(running):
+            running = [running[i] for i in keep]
+            basis, coef = basis[keep], coef[keep]
     # min keeps the earliest of equal values
-    best = min(range(len(starts)), key=lambda r: recs[r].monitored[-1])
-    basis, coef, converged = ends[best]
-    rec = recs[best]
-    rec.finish(basis, coef)
-    pair = FactorPair(
-        basis=basis,
-        coefficients=coef,
-        rank=k,
-        objective=rec.objective[-1],
-        iterations=rec.last_iteration(),
-        converged=converged,
-    )
-    return pair, rec.trace()
+    return min(restarts, key=lambda run: run.monitored[-1]).result(k)
 
 
 def nmf_multiplicative(data, k, options=None):

@@ -310,6 +310,19 @@ def test_non_ascii_input_is_a_parse_error_naming_the_file(
     assert f"{path}: not ASCII text, byte 0xc3 on line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, message", [
+    ("--input", "no data rows"),
+    ("--labels", "no labels"),
+])
+def test_factorize_blank_file_is_a_parse_error(dataset, tmp_path, capsys, flag, message):
+    matrix, _ = dataset
+    path = tmp_path / "blank.csv"
+    path.write_text("\n  \n")
+    argv = ["factorize", "--input", str(matrix), "--k", "2", flag, str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 def test_parser_is_built_once_and_reused_without_leaking_state(dataset, tmp_path, capsys):
     matrix, labels = dataset
     cli._build_parser.cache_clear()
@@ -480,6 +493,9 @@ def test_sweep_malformed_seeds(tmp_path, capsys, seeds):
 @pytest.mark.parametrize("flags, message", [
     (["--solvers", "mu", "ortho"], "sweeping the ortho solver needs --ortho-mode"),
     (["--ortho-mode", "rows_of_C"], "--ortho-mode requires the ortho solver"),
+    (["--lambdas", "-1"], "penalty must be finite and >= 0, got -1.0"),
+    (["--lambdas", "0", "nan"], "penalty must be finite and >= 0, got nan"),
+    (["--solvers", "anls", "--lambdas", "inf"], "penalty must be finite and >= 0, got inf"),
 ])
 def test_sweep_ortho_flag_errors(tmp_path, capsys, flags, message):
     rc = main(["sweep", "--kind", "block-diagonal", "--m", "8", "--n", "8", "--k", "2",

@@ -155,6 +155,8 @@ def test_as_matrix_rejections():
         as_matrix([1.0, 2.0], "data")
     with pytest.raises(ShapeError):
         as_matrix(np.zeros((0, 3)), "data")
+    with pytest.raises(ShapeError, match="^data is not a numeric array: could not convert"):
+        as_matrix([["a", "b"]], "data")
     with pytest.raises(DomainError, match="data"):
         as_matrix([[1.0, np.nan]], "data")
     with pytest.raises(DomainError):

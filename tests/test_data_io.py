@@ -49,6 +49,8 @@ def test_spec_validation():
         SyntheticSpec(kind="mixture-docs", m=4, n=4, k=2, overlap=1.0)
     with pytest.raises(SpecError, match="seed"):
         SyntheticSpec(kind="planted-graph", n=4, k=2, seed=-1)
+    with pytest.raises(SpecError, match="^n must be >= 1, got 0$"):
+        SyntheticSpec(kind="block-diagonal", m=4, n=0, k=1)
     # counts must be integers: no floats, not even integral ones, and no bools
     for field, value in (("n", 10.5), ("n", 10.0), ("k", True), ("m", 4.0),
                          ("seed", 1.5)):
@@ -334,6 +336,17 @@ def test_csv_non_numeric(tmp_path):
     path.write_text("1,foo\n")
     with pytest.raises(ParseError, match="row 1"):
         read_csv_matrix(path)
+
+
+@pytest.mark.parametrize("reader, message", [
+    (read_csv_matrix, "no data rows"),
+    (read_labels, "no labels"),
+])
+def test_blank_file_is_a_parse_error(tmp_path, reader, message):
+    path = tmp_path / "blank.txt"
+    path.write_text("\n  \n")
+    with pytest.raises(ParseError, match=f"blank.txt: {message}$"):
+        reader(path)
 
 
 # ---------------------------------------------------------------- labels

@@ -1,6 +1,7 @@
 """Reports, re-evaluation, the comparison harness, and sweeps."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -142,6 +143,12 @@ def test_evaluate_report_needs_a_source():
         evaluate_report(report)
 
 
+def test_run_experiment_rejects_an_unknown_solver():
+    with pytest.raises(SpecError, match=re.escape(
+            "solver must be one of ('mu', 'anls', 'ortho'), got 'bogus'")):
+        run_experiment(np.eye(3), 1, solver="bogus")
+
+
 def test_compare_structure():
     data, items, features = generate(SPEC)
     comparison = run_compare(
@@ -241,6 +248,10 @@ def test_sweep_input_validation():
         run_sweep(SPEC, [], [0], [0.0])
     with pytest.raises(SpecError, match="unknown solver"):
         run_sweep(SPEC, ["pca"], [0], [0.0])
+    for lam in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"penalty must be finite and >= 0, got {lam}")):
+            run_sweep(SPEC, ["mu", "anls"], [0], [0.0, lam])
 
 
 def test_summary_header_and_blank_none(monkeypatch):

@@ -563,3 +563,14 @@ def test_stacked_restarts_window_rule_firing_at_the_cap():
     got = nmf_multiplicative(a, 3, opts)
     assert got[0].iterations == 245 and got[0].converged
     _assert_same_run(got, best)
+
+
+@pytest.mark.parametrize("solver", [nmf_multiplicative, nmf_anls])
+def test_only_the_ortho_solver_reads_the_ortho_options(solver):
+    # options=None means SolverOptions(); ortho_mode and penalty change nothing
+    a = np.random.default_rng(5).random((9, 7))
+    plain = solver(a, 3, SolverOptions())
+    _assert_same_run(solver(a, 3), plain)
+    ortho = solver(a, 3, SolverOptions(ortho_mode="rows_of_C", penalty=1.0))
+    assert ortho[1].penalized is None
+    _assert_same_run(ortho, plain)
