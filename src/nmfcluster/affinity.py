@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_matrix, require_nonnegative
+from .core import _frozen, as_matrix, require_nonnegative
 from .errors import DomainError, ShapeError
 
 __all__ = [
@@ -54,9 +54,7 @@ class AffinityMatrix:
                 f"affinity is asymmetric at ({i}, {j}): "
                 f"{m[i, j]!r} vs {m[j, i]!r}"
             )
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _frozen(m))
 
     @property
     def n(self):

@@ -28,15 +28,8 @@ class KmeansOptions:
     tolerance: float = 1e-8
 
     def __post_init__(self):
-        _integer_fields(self, ("k", "max_iterations", "seed", "restarts"), ValueError)
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _integer_fields(self, {"k": 1, "max_iterations": 1, "seed": 0, "restarts": 1},
+                        ValueError)
         if not self.tolerance >= 0.0:
             raise ValueError(f"tolerance must be >= 0, got {self.tolerance}")
 

@@ -15,6 +15,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import fields
 
 from .data_io import (
     KINDS,
@@ -84,28 +85,11 @@ def _add_solver_flags(p, with_seed=True):
     p.add_argument("--epsilon-guard", type=float, default=SolverOptions.epsilon_guard)
 
 
-def _spec_from_args(args, seed):
-    return SyntheticSpec(
-        kind=args.kind,
-        n=args.n,
-        k=args.k,
-        m=args.m,
-        noise=args.noise,
-        overlap=args.overlap,
-        seed=seed,
-    )
-
-
-def _options_from_args(args, **ortho):
-    return SolverOptions(
-        max_iterations=args.max_iterations,
-        tolerance=args.tolerance,
-        window=args.window,
-        seed=getattr(args, "seed", SolverOptions.seed),
-        restarts=args.restarts,
-        epsilon_guard=args.epsilon_guard,
-        **ortho,
-    )
+def _from_args(cls, args, **overrides):
+    # a SolverOptions or SyntheticSpec from the flags whose dest names one of
+    # its fields (a field with no flag keeps its default), then ``overrides``
+    given = {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+    return cls(**given, **overrides)
 
 
 def _labels_from_args(args):
@@ -135,7 +119,7 @@ def _parse_seeds(text):
 
 
 def cmd_gen(args):
-    spec = _spec_from_args(args, args.seed)
+    spec = _from_args(SyntheticSpec, args)
     matrix, items, features = generate(spec)
     if args.out_feature_labels and features is None:
         raise _UsageError(f"kind {spec.kind!r} has no separate feature labels")
@@ -163,14 +147,11 @@ def cmd_factorize(args):
     _check_ortho_flags(args)
     data, fmt = _load_matrix(args.input)
     item_labels, feature_labels = _labels_from_args(args)
-    options = _options_from_args(
-        args, ortho_mode=args.ortho_mode, penalty=args.penalty
-    )
     report = run_experiment(
         data,
         args.k,
         solver=args.solver,
-        options=options,
+        options=_from_args(SolverOptions, args),
         item_labels=item_labels,
         feature_labels=feature_labels,
         source={"path": args.input, "format": fmt},
@@ -196,14 +177,12 @@ def cmd_sweep(args):
     if args.ortho_mode != "none" and "ortho" not in args.solvers:
         raise _UsageError("--ortho-mode requires the ortho solver")
     seeds = _parse_seeds(args.seeds)
-    spec = _spec_from_args(args, seeds[0])
-    base_options = _options_from_args(args, ortho_mode=args.ortho_mode)
     reports = run_sweep(
-        spec,
+        _from_args(SyntheticSpec, args, seed=seeds[0]),
         solvers=args.solvers,
         seeds=seeds,
         lambdas=args.lambdas,
-        base_options=base_options,
+        base_options=_from_args(SolverOptions, args),
     )
     os.makedirs(args.out, exist_ok=True)
     for rep in reports:
@@ -221,11 +200,10 @@ def cmd_sweep(args):
 def cmd_compare(args):
     data, fmt = _load_matrix(args.input)
     item_labels, feature_labels = _labels_from_args(args)
-    options = _options_from_args(args)
     report = run_compare(
         data,
         args.k,
-        options=options,
+        options=_from_args(SolverOptions, args),
         item_labels=item_labels,
         feature_labels=feature_labels,
         source={"path": args.input, "format": fmt},

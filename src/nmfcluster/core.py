@@ -39,13 +39,16 @@ def _as_int(value):
         return None
 
 
-def _integer_fields(obj, names, error):
-    # store each named field of a frozen dataclass as an int; raise ``error``
-    # for a bool or a value that is not integral
-    for name in names:
+def _integer_fields(obj, bounds, error):
+    # store each field of a frozen dataclass named in ``bounds`` as an int,
+    # in order; raise ``error`` for a bool, a value that is not integral, or
+    # one below its lower bound (None for no bound)
+    for name, lower in bounds.items():
         value = _as_int(getattr(obj, name))
         if value is None:
             raise error(f"{name} must be an integer, got {getattr(obj, name)!r}")
+        if lower is not None and value < lower:
+            raise error(f"{name} must be >= {lower}, got {value}")
         object.__setattr__(obj, name, value)
 
 
@@ -181,19 +184,19 @@ def normalize_factors(basis, coef):
     return basis / norms, coef * norms[:, None]
 
 
-def _frozen(a):
-    out = np.array(a, dtype=np.float64, copy=True)
+def _frozen(values, dtype=np.float64):
+    # a read-only copy of ``values`` as a ``dtype`` array
+    out = np.array(values, dtype=dtype, copy=True)
     out.flags.writeable = False
     return out
 
 
 def _index(values, name):
-    it = np.array(values, dtype=np.int64, copy=True)
+    it = _frozen(values, np.int64)
     if it.ndim != 1 or it.size == 0:
         raise ShapeError(f"{name} must hold at least the initial record")
     if it[0] != 0 or np.any(np.diff(it) <= 0):
         raise ShapeError(f"{name} indices must increase strictly from 0")
-    it.flags.writeable = False
     return it
 
 

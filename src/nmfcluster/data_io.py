@@ -77,17 +77,15 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise SpecError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        _integer_fields(self, ("n", "k", "m", "seed"), SpecError)
-        if self.n < 1:
-            raise SpecError(f"n must be >= 1, got {self.n}")
-        if self.kind in GRAPH_KINDS:
+        graph = self.kind in GRAPH_KINDS
+        _integer_fields(self, {"n": 1, "k": None, "m": None if graph else 1, "seed": 0},
+                        SpecError)
+        if graph:
             if not 1 <= self.k <= self.n:
                 raise SpecError(
                     f"k must be in [1, {self.n}] for {self.kind}, got {self.k}"
                 )
         else:
-            if self.m < 1:
-                raise SpecError(f"m must be >= 1, got {self.m}")
             if not 1 <= self.k <= min(self.m, self.n):
                 raise SpecError(
                     f"k must be in [1, min(m, n)] = [1, {min(self.m, self.n)}], "
@@ -102,8 +100,6 @@ class SyntheticSpec:
                 f"overlap must be < 1 for mixture-docs (the dominant topic "
                 f"keeps weight 1-overlap), got {self.overlap}"
             )
-        if self.seed < 0:
-            raise SpecError(f"seed must be >= 0, got {self.seed}")
 
     def as_dict(self):
         return {

@@ -292,6 +292,8 @@ def _load_report_data(report):
             raise SpecError(f"report input spec is malformed: {exc}") from None
         return generate(spec)
     if "path" in source:
+        if not isinstance(source["path"], str):
+            raise SpecError(f"report input path must be a string, got {source['path']!r}")
         if source.get("format") == "csv":
             data = read_csv_matrix(source["path"])
         else:
@@ -354,7 +356,7 @@ def _sweep_cell(spec, solver, seed, lam, base_options):
         ortho_mode=base_options.ortho_mode if solver == "ortho" else "none",
         penalty=lam if solver == "ortho" else 0.0,
     )
-    report = run_experiment(
+    return run_experiment(
         data,
         cell_spec.k,
         solver=solver,
@@ -363,8 +365,6 @@ def _sweep_cell(spec, solver, seed, lam, base_options):
         feature_labels=features,
         source={"spec": cell_spec.as_dict()},
     )
-    report["lambda"] = lam
-    return report
 
 
 def run_sweep(spec, solvers, seeds, lambdas, base_options=None):
@@ -372,7 +372,8 @@ def run_sweep(spec, solvers, seeds, lambdas, base_options=None):
 
     Every cell regenerates its dataset with the cell's seed (which also
     seeds the solver) so cells are independent.  Returns one report per
-    cell in (solver, seed, lambda) sort order.  Lambda reaches only the
+    cell in (solver, seed, lambda) sort order; a value repeated in
+    ``solvers``, ``seeds`` or ``lambdas`` runs once.  Lambda reaches only the
     ortho solver, so a mu or anls run is computed once per seed and its
     report repeated for each lambda, differing only in ``lambda``; the
     repeated reports share their nested lists.  Every lambda must be
@@ -380,9 +381,7 @@ def run_sweep(spec, solvers, seeds, lambdas, base_options=None):
     """
     if base_options is None:
         base_options = SolverOptions()
-    solvers = list(solvers)
-    seeds = list(seeds)
-    lambdas = list(lambdas)
+    solvers, seeds, lambdas = (list(dict.fromkeys(axis)) for axis in (solvers, seeds, lambdas))
     if not seeds:
         raise SpecError("empty seed range")
     if not solvers:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affinity import weights_array
-from .core import _as_int, _offdiag_energy, as_matrix, require_nonnegative
+from .core import _as_int, _frozen, _offdiag_energy, as_matrix, require_nonnegative
 from .errors import DegenerateFactorError, DomainError, ShapeError, SizeLimitError
 
 __all__ = [
@@ -53,14 +53,13 @@ class Partition:
         if not np.issubdtype(arr.dtype, np.integer):
             if not np.all(arr == np.floor(arr)):
                 raise DomainError("labels must be integers")
-        arr = arr.astype(np.int64)
+        arr = _frozen(arr, np.int64)
         k = _as_int(self.n_clusters)
         if k is None or k < 1:
             raise DomainError(f"n_clusters must be an integer >= 1, got {self.n_clusters!r}")
         if arr.min() < 0 or arr.max() >= k:
             bad = int(np.flatnonzero((arr < 0) | (arr >= k))[0])
             raise DomainError(f"label {arr[bad]} at position {bad} outside [0, {k})")
-        arr.flags.writeable = False
         object.__setattr__(self, "labels", arr)
         object.__setattr__(self, "n_clusters", k)
 

@@ -32,6 +32,7 @@ from .core import (
     frobenius_objective,
     require_nonnegative,
     _conforming,
+    _frozen,
     _integer_fields,
     _kkt_norms,
     _offdiag_energy,
@@ -87,17 +88,10 @@ class SolverOptions:
     penalty: float = 0.0
 
     def __post_init__(self):
-        _integer_fields(self, ("max_iterations", "window", "seed", "restarts"), ValueError)
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        _integer_fields(self, {"max_iterations": 1, "window": 1, "seed": 0, "restarts": 1},
+                        ValueError)
         if not 0.0 < self.tolerance < np.inf:
             raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if not 0.0 < self.epsilon_guard < np.inf:
             raise ValueError(
                 f"epsilon_guard must be finite and > 0, got {self.epsilon_guard}")
@@ -386,12 +380,8 @@ class NnlsProblem:
         if np.any(target < 0.0):
             i = int(np.flatnonzero(target < 0.0)[0])
             raise DomainError(f"target has negative entry at index {i}")
-        design = design.copy()
-        design.flags.writeable = False
-        target = target.copy()
-        target.flags.writeable = False
-        object.__setattr__(self, "design", design)
-        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "design", _frozen(design))
+        object.__setattr__(self, "target", _frozen(target))
 
 
 def nnls(design, target):

@@ -16,12 +16,11 @@ from nmfcluster.metrics import cluster_accuracy, ratio_association
 
 
 def test_kmeans_options_validation():
-    with pytest.raises(ValueError, match="k"):
-        KmeansOptions(k=0)
-    with pytest.raises(ValueError, match="max_iterations"):
-        KmeansOptions(k=1, max_iterations=0)
-    with pytest.raises(ValueError, match="restarts"):
-        KmeansOptions(k=1, restarts=0)
+    for name, lower in (("k", 1), ("max_iterations", 1), ("seed", 0), ("restarts", 1)):
+        with pytest.raises(ValueError, match=f"^{name} must be >= {lower}, got {lower - 1}$"):
+            KmeansOptions(**{"k": 2, name: lower - 1})
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got 2.5$"):
+            KmeansOptions(**{"k": 2, name: 2.5})
     with pytest.raises(ValueError, match="tolerance"):
         KmeansOptions(k=1, tolerance=-1.0)
     with pytest.raises(ValueError, match="tolerance"):
@@ -30,8 +29,6 @@ def test_kmeans_options_validation():
                          ("max_iterations", 3.5), ("seed", 1.5)):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             KmeansOptions(**{"k": 2, field: value})
-    with pytest.raises(ValueError, match="seed"):
-        KmeansOptions(k=2, seed=-1)
     assert type(KmeansOptions(k=np.int64(2)).k) is int
 
 

@@ -17,6 +17,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,8 @@ import pytest
 import nmfcluster
 from nmfcluster import cli
 from nmfcluster.cli import main
-from nmfcluster.data_io import read_matrix_market, write_csv_matrix
+from nmfcluster.data_io import SyntheticSpec, read_matrix_market, write_csv_matrix
+from nmfcluster.solvers import SolverOptions
 
 
 def _gen(tmp_path, seed=0, **over):
@@ -362,6 +364,9 @@ def test_evaluate_malformed_report(dataset, tmp_path, capsys):
         "unknown field": ({**report, "input": {"spec": {**spec, "size": 8}}},
                           "spec is malformed"),
         "input not an object": ({**report, "input": 5}, "neither a spec nor a path"),
+        "path fd 0": ({**report, "input": {"path": 0}}, "path must be a string, got 0"),
+        "path a list": ({**report, "input": {"path": ["a.mtx"]}},
+                        re.escape("path must be a string, got ['a.mtx']")),
     }
     for name, (payload, message) in cases.items():
         bad = tmp_path / "bad.json"
@@ -466,6 +471,17 @@ def test_sweep_lambdas_that_round_alike_get_their_own_files(tmp_path, capsys):
     assert ortho["lambda"] == 0.1000001
 
 
+def test_sweep_runs_a_repeated_lambda_or_solver_once(tmp_path, capsys):
+    rc = main(["sweep", "--kind", "block-diagonal", "--m", "8", "--n", "8", "--k", "2",
+               "--solvers", "mu", "mu", "--seeds", "0", "--lambdas", "0", "0",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "report_mu_seed0_lam0.json", "summary.csv"]
+    assert len((tmp_path / "summary.csv").read_text().splitlines()) == 2
+
+
 def test_sweep_empty_seed_range(tmp_path, capsys):
     rc = main(
         [
@@ -515,6 +531,50 @@ def test_compare_merged_report(dataset, tmp_path):
     assert set(merged) >= {"nmf", "kmeans", "spectral"}
     assert merged["nmf"]["accuracy"] is not None
     assert merged["kmeans"]["accuracy"] is not None
+
+
+def test_every_solver_and_spec_flag_reaches_its_field(dataset, tmp_path, capsys):
+    # which SolverOptions and SyntheticSpec fields each subcommand takes from flags
+    matrix, _ = dataset
+
+    def options(report):
+        given = dict(report["options"])
+        penalty = given.pop("lambda")
+        return SolverOptions(**given, penalty=penalty)
+
+    solver_flags = ["--max-iterations", "7", "--tolerance", "0.001", "--window", "3",
+                    "--restarts", "2", "--epsilon-guard", "1e-09"]
+    solver = SolverOptions(max_iterations=7, tolerance=1e-3, window=3, restarts=2,
+                           epsilon_guard=1e-9)
+    spec_flags = ["--kind", "mixture-docs", "--m", "9", "--n", "7", "--k", "3",
+                  "--noise", "0.2", "--overlap", "0.3"]
+    spec = SyntheticSpec(kind="mixture-docs", m=9, n=7, k=3, noise=0.2, overlap=0.3)
+    out = tmp_path / "out.json"
+
+    assert main(["factorize", "--input", str(matrix), "--k", "2", "--solver", "ortho",
+                 "--ortho-mode", "both", "--lambda", "0.5", "--seed", "4", *solver_flags,
+                 "--out", str(out)]) == 0
+    assert options(json.loads(out.read_text())) == replace(
+        solver, seed=4, ortho_mode="both", penalty=0.5)
+
+    assert main(["compare", "--input", str(matrix), "--k", "2", "--seed", "5",
+                 *solver_flags, "--out", str(out)]) == 0
+    assert options(json.loads(out.read_text())["nmf"]) == replace(solver, seed=5)
+
+    capsys.readouterr()
+    assert main(["gen", *spec_flags, "--seed", "6", "--out-matrix", str(tmp_path / "g.mtx"),
+                 "--out-labels", str(tmp_path / "g.txt")]) == 0
+    assert SyntheticSpec(**json.loads(capsys.readouterr().out)) == replace(spec, seed=6)
+
+    assert main(["sweep", *spec_flags, "--solvers", "ortho", "--ortho-mode", "cols_of_B",
+                 "--seeds", "2..3", "--lambdas", "0.25", *solver_flags,
+                 "--out", str(tmp_path / "sweep")]) == 0
+    for seed in (2, 3):
+        report = json.loads(
+            (tmp_path / "sweep" / f"report_ortho_seed{seed}_lam0.25.json").read_text())
+        assert options(report) == replace(
+            solver, seed=seed, ortho_mode="cols_of_B", penalty=0.25)
+        assert SyntheticSpec(**report["input"]["spec"]) == replace(spec, seed=seed)
 
 
 REPORT_KEYS = [

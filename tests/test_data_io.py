@@ -43,14 +43,17 @@ def test_spec_validation():
         SyntheticSpec(kind="planted-graph", n=4, k=5)
     with pytest.raises(SpecError, match="noise"):
         SyntheticSpec(kind="block-diagonal", m=4, n=4, k=2, noise=1.0)
-    with pytest.raises(SpecError, match="m must be"):
-        SyntheticSpec(kind="mixture-docs", n=4, k=2)
     with pytest.raises(SpecError, match="overlap"):
         SyntheticSpec(kind="mixture-docs", m=4, n=4, k=2, overlap=1.0)
-    with pytest.raises(SpecError, match="seed"):
-        SyntheticSpec(kind="planted-graph", n=4, k=2, seed=-1)
-    with pytest.raises(SpecError, match="^n must be >= 1, got 0$"):
-        SyntheticSpec(kind="block-diagonal", m=4, n=0, k=1)
+    for kind, name, lower in (("block-diagonal", "n", 1), ("mixture-docs", "m", 1),
+                              ("planted-graph", "seed", 0), ("block-diagonal", "seed", 0)):
+        params = {"kind": kind, "m": 4, "n": 4, "k": 1, name: lower - 1}
+        with pytest.raises(SpecError, match=f"^{name} must be >= {lower}, got {lower - 1}$"):
+            SyntheticSpec(**params)
+        with pytest.raises(SpecError, match=f"^{name} must be an integer, got 2.5$"):
+            SyntheticSpec(**{**params, name: 2.5})
+    with pytest.raises(SpecError, match="^m must be >= 1, got 0$"):
+        SyntheticSpec(kind="mixture-docs", n=4, k=2)
     # counts must be integers: no floats, not even integral ones, and no bools
     for field, value in (("n", 10.5), ("n", 10.0), ("k", True), ("m", 4.0),
                          ("seed", 1.5)):

@@ -2,6 +2,7 @@
 
 import json
 import re
+from itertools import product
 
 import numpy as np
 import pytest
@@ -143,6 +144,15 @@ def test_evaluate_report_needs_a_source():
         evaluate_report(report)
 
 
+@pytest.mark.parametrize("path", [0, ["a.mtx"], None], ids=["fd0", "list", "none"])
+def test_evaluate_report_needs_a_string_path(path):
+    report = _small_report()
+    report["input"] = {"path": path, "format": "mtx"}
+    with pytest.raises(SpecError, match=re.escape(
+            f"report input path must be a string, got {path!r}")):
+        evaluate_report(report)
+
+
 def test_run_experiment_rejects_an_unknown_solver():
     with pytest.raises(SpecError, match=re.escape(
             "solver must be one of ('mu', 'anls', 'ortho'), got 'bogus'")):
@@ -191,7 +201,7 @@ def test_sweep_grid_and_determinism():
     sweep = run_sweep(SPEC, ["mu", "ortho"], seeds, lambdas, base_options=options)
     cells = sorted((solver, seed, lam) for solver in ("mu", "ortho")
                    for seed in seeds for lam in lambdas)
-    reference = [_sweep_cell(SPEC, *cell, options) for cell in cells]
+    reference = [{**_sweep_cell(SPEC, *cell, options), "lambda": cell[2]} for cell in cells]
     assert len(sweep) == 8
     keys = [(r["solver"], r["seed"], r["lambda"]) for r in sweep]
     assert keys == cells
@@ -226,6 +236,13 @@ def test_sweep_runs_each_lambda_blind_cell_once(monkeypatch):
     for rep in reports:
         if rep["solver"] != "ortho":
             assert {**rep, "lambda": 0.0} == first[(rep["solver"], rep["seed"])]
+
+
+def test_sweep_runs_a_repeated_value_once():
+    grid = run_sweep(SPEC, ["ortho", "mu", "ortho"], [1, 0, 1], [0.5, 0.0, 0.5],
+                     base_options=SolverOptions(ortho_mode="rows_of_C", max_iterations=20))
+    assert [(r["solver"], r["seed"], r["lambda"]) for r in grid] == sorted(
+        product(("mu", "ortho"), (0, 1), (0.0, 0.5)))
 
 
 def test_sweep_cell_matches_direct_run():

@@ -66,6 +66,11 @@ def test_options_validation():
     ):
         with pytest.raises(ValueError):
             SolverOptions(**bad)
+    for name, lower in (("max_iterations", 1), ("window", 1), ("seed", 0), ("restarts", 1)):
+        with pytest.raises(ValueError, match=f"^{name} must be >= {lower}, got {lower - 1}$"):
+            SolverOptions(**{name: lower - 1})
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got 2.5$"):
+            SolverOptions(**{name: 2.5})
     o = SolverOptions(restarts=np.int64(2), seed=np.uint8(3))
     assert (o.restarts, o.seed) == (2, 3)
     assert type(o.restarts) is int and type(o.seed) is int
