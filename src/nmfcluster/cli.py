@@ -20,10 +20,9 @@ from dataclasses import fields
 from .data_io import (
     KINDS,
     SyntheticSpec,
+    _read_matrix_file,
     generate,
-    read_csv_matrix,
     read_labels,
-    read_matrix_market,
     read_text,
     write_labels,
     write_matrix_market,
@@ -98,12 +97,6 @@ def _labels_from_args(args):
                  for path in (args.labels, args.feature_labels))
 
 
-def _load_matrix(path):
-    if path.endswith(".csv"):
-        return read_csv_matrix(path), "csv"
-    return read_matrix_market(path), "mtx"
-
-
 def _parse_seeds(text):
     try:
         if ".." in text:
@@ -143,22 +136,27 @@ def _check_ortho_flags(args):
             raise _UsageError("--lambda requires --solver ortho")
 
 
-def cmd_factorize(args):
-    _check_ortho_flags(args)
-    data, fmt = _load_matrix(args.input)
+def _run_on_input(run, args, **extra):
+    # load --input and the label files, build the solver options, call
+    # run_experiment or run_compare as ``run`` and emit its report
+    data, source = _read_matrix_file(args.input)
     item_labels, feature_labels = _labels_from_args(args)
-    report = run_experiment(
+    report = run(
         data,
         args.k,
-        solver=args.solver,
         options=_from_args(SolverOptions, args),
         item_labels=item_labels,
         feature_labels=feature_labels,
-        source={"path": args.input, "format": fmt},
-        include_trace=args.trace,
+        source=source,
+        **extra,
     )
     _emit(report, args.out)
     return 0
+
+
+def cmd_factorize(args):
+    _check_ortho_flags(args)
+    return _run_on_input(run_experiment, args, solver=args.solver, include_trace=args.trace)
 
 
 def cmd_evaluate(args):
@@ -198,18 +196,7 @@ def cmd_sweep(args):
 
 
 def cmd_compare(args):
-    data, fmt = _load_matrix(args.input)
-    item_labels, feature_labels = _labels_from_args(args)
-    report = run_compare(
-        data,
-        args.k,
-        options=_from_args(SolverOptions, args),
-        item_labels=item_labels,
-        feature_labels=feature_labels,
-        source={"path": args.input, "format": fmt},
-    )
-    _emit(report, args.out)
-    return 0
+    return _run_on_input(run_compare, args)
 
 
 @functools.cache  # built on the first main call, then reused

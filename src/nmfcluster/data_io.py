@@ -60,7 +60,7 @@ class SyntheticSpec:
     """Parameters of one synthetic dataset.
 
     ``m`` is the feature count and ``n`` the item count; graph kinds use
-    ``n`` as the vertex count and ignore ``m``.  ``overlap`` only matters
+    ``n`` as the vertex count and take ``m = 0``.  ``overlap`` only matters
     for mixture-docs (weight of the non-dominant topics); ``noise`` is the
     off-block level for block/graph kinds and the additive noise scale
     for mixtures.
@@ -81,6 +81,8 @@ class SyntheticSpec:
         _integer_fields(self, {"n": 1, "k": None, "m": None if graph else 1, "seed": 0},
                         SpecError)
         if graph:
+            if self.m != 0:
+                raise SpecError(f"m must be 0 for {self.kind}, got {self.m}")
             if not 1 <= self.k <= self.n:
                 raise SpecError(
                     f"k must be in [1, {self.n}] for {self.kind}, got {self.k}"
@@ -319,6 +321,22 @@ def read_csv_matrix(path):
     if not rows:
         raise ParseError(f"{path}: no data rows")
     return np.asarray(rows)
+
+
+def _read_matrix_file(source):
+    # (matrix, input descriptor) of a path, whose suffix names its format
+    # (.csv is CSV, any other MatrixMarket), or of a report's stored
+    # descriptor {"path": ..., "format": "csv" | "mtx"}
+    if isinstance(source, str):
+        source = {"path": source, "format": "csv" if source.endswith(".csv") else "mtx"}
+    path, fmt = source["path"], source.get("format")
+    if not isinstance(path, str):
+        raise SpecError(f"report input path must be a string, got {path!r}")
+    if fmt == "csv":
+        return read_csv_matrix(path), source
+    if fmt == "mtx":
+        return read_matrix_market(path), source
+    raise SpecError(f"report input format must be 'csv' or 'mtx', got {fmt!r}")
 
 
 def write_csv_matrix(path, matrix):

@@ -22,13 +22,9 @@ import numpy as np
 
 from .affinity import _is_symmetric, feature_affinity, item_affinity
 from .baselines import KmeansOptions, kmeans, spectral_ratio_assoc
-from .core import _as_int, as_matrix, frobenius_objective, kkt_residual, normalize_factors
-from .data_io import (
-    SyntheticSpec,
-    generate,
-    read_csv_matrix,
-    read_matrix_market,
-)
+from .core import (_as_int, as_matrix, frobenius_objective, kkt_residual, normalize_factors,
+                   require_nonnegative)
+from .data_io import SyntheticSpec, _read_matrix_file, generate
 from .errors import SpecError
 from .metrics import (
     BRUTE_FORCE_MAX_N,
@@ -41,7 +37,7 @@ from .metrics import (
     orthogonality_deviation,
     ratio_association,
 )
-from .solvers import SolverOptions, nmf_anls, nmf_multiplicative, nmf_orthogonal
+from .solvers import SolverOptions, _unpenalized, nmf_anls, nmf_multiplicative, nmf_orthogonal
 
 __all__ = [
     "run_experiment",
@@ -174,11 +170,15 @@ def run_experiment(
 
     ``source`` is the input descriptor recorded for later re-evaluation:
     either {"path": ..., "format": "mtx"|"csv"} for file inputs or
-    {"spec": {...}} for synthetic data.  Wall-clock time covers the
-    solver only, not the metric pass.
+    {"spec": {...}} for synthetic data.  The report records the options
+    the solver ran with: mu and anls run with ``ortho_mode="none"`` and
+    ``penalty=0.0`` whatever ``options`` holds.  Wall-clock time covers
+    the solver only, not the metric pass.
     """
     if options is None:
         options = SolverOptions()
+    if solver != "ortho":
+        options = _unpenalized(options)
     data = as_matrix(data, "data")
     started = time.perf_counter()
     pair, trace = _run_solver(data, k, solver, options)
@@ -282,7 +282,18 @@ def run_compare(
     }
 
 
-def _load_report_data(report):
+def _read_report(report, item_labels, feature_labels):
+    # the data, factors and labels evaluate_report works on: first the keys
+    # it needs are checked to be there, then each of its six keys in report
+    # order.  The caller's labels win over stored ones, stored over planted.
+    if not isinstance(report, dict):
+        raise SpecError(f"report must be a JSON object, got a {type(report).__name__}")
+    for key in ("schema_version", "basis", "coefficients"):
+        if key not in report:
+            raise SpecError(f"report has no {key!r}; cannot re-evaluate")
+    if report["schema_version"] != SCHEMA_VERSION:
+        raise SpecError(f"report schema_version must be {SCHEMA_VERSION!r}, "
+                        f"got {report['schema_version']!r}")
     source = report.get("input")
     source = source if isinstance(source, dict) else {}
     if "spec" in source:
@@ -290,32 +301,25 @@ def _load_report_data(report):
             spec = SyntheticSpec(**source["spec"])
         except TypeError as exc:
             raise SpecError(f"report input spec is malformed: {exc}") from None
-        return generate(spec)
-    if "path" in source:
-        if not isinstance(source["path"], str):
-            raise SpecError(f"report input path must be a string, got {source['path']!r}")
-        if source.get("format") == "csv":
-            data = read_csv_matrix(source["path"])
-        else:
-            data = read_matrix_market(source["path"])
-        return data, None, None
-    raise SpecError(
-        "report input descriptor has neither a spec nor a path; cannot re-evaluate"
-    )
-
-
-def _labels(given, report, key, count, planted):
-    # the caller's labels, else the ones the report stored under ``key``
-    # (a list of ``count`` non-negative integers), else the spec's
-    if given is not None:
-        return given
-    stored = report.get(key)
-    if stored is None:
-        return planted
-    if (not isinstance(stored, list) or len(stored) != count
-            or any(_as_int(label) is None or label < 0 for label in stored)):
-        raise SpecError(f"report's {key!r} must be a list of {count} non-negative integers")
-    return Partition(np.asarray(stored), max(stored) + 1)
+        data, *planted = generate(spec)
+    elif "path" in source:
+        data, planted = _read_matrix_file(source)[0], (None, None)
+    else:
+        raise SpecError(
+            "report input descriptor has neither a spec nor a path; cannot re-evaluate")
+    basis, coef = (require_nonnegative(as_matrix(report[key], key), key)
+                   for key in ("basis", "coefficients"))
+    labels = [item_labels, feature_labels]
+    for i, key in enumerate(("item_labels", "feature_labels")):
+        stored, count = report.get(key), data.shape[1 - i]  # n items, m features
+        if labels[i] is None and stored is not None:
+            if (not isinstance(stored, list) or len(stored) != count
+                    or any(_as_int(label) is None or label < 0 for label in stored)):
+                raise SpecError(f"report's {key!r} must be a list of {count} non-negative integers")
+            labels[i] = Partition(np.asarray(stored), max(stored) + 1)
+        if labels[i] is None:
+            labels[i] = planted[i]
+    return data, basis, coef, *labels
 
 
 def evaluate_report(report, item_labels=None, feature_labels=None):
@@ -324,24 +328,14 @@ def evaluate_report(report, item_labels=None, feature_labels=None):
     Labels fall back to the ones recorded in the report (or planted by
     the regenerated spec).  Metrics missing their inputs come back as
     explicit None.  Matches the original report within 1e-10 because the
-    stored factors and the reloaded data round-trip exactly.  SpecError
-    for a report that is not a dict or has no stored factors.
+    stored factors and the reloaded data round-trip exactly.  A malformed
+    report raises SpecError, or, for a stored factor that is not a finite
+    nonnegative matrix, the ShapeError or DomainError that names it.
     """
-    if not isinstance(report, dict):
-        raise SpecError(f"report must be a JSON object, got a {type(report).__name__}")
-    for key in ("basis", "coefficients"):
-        if key not in report:
-            raise SpecError(f"report has no {key!r}; cannot re-evaluate")
-    data, spec_items, spec_features = _load_report_data(report)
-    basis = np.asarray(report["basis"])
-    coef = np.asarray(report["coefficients"])
-
-    m, n = data.shape
-    item_labels = _labels(item_labels, report, "item_labels", n, spec_items)
-    feature_labels = _labels(feature_labels, report, "feature_labels", m, spec_features)
-
+    data, basis, coef, item_labels, feature_labels = _read_report(
+        report, item_labels, feature_labels)
     return {
-        "schema_version": report.get("schema_version", SCHEMA_VERSION),
+        "schema_version": SCHEMA_VERSION,
         "objective": frobenius_objective(data, basis, coef),
         **evaluate_factors(data, basis, coef, item_labels, feature_labels),
     }
@@ -350,17 +344,11 @@ def evaluate_report(report, item_labels=None, feature_labels=None):
 def _sweep_cell(spec, solver, seed, lam, base_options):
     cell_spec = replace(spec, seed=seed)
     data, items, features = generate(cell_spec)
-    options = replace(
-        base_options,
-        seed=seed,
-        ortho_mode=base_options.ortho_mode if solver == "ortho" else "none",
-        penalty=lam if solver == "ortho" else 0.0,
-    )
     return run_experiment(
         data,
         cell_spec.k,
         solver=solver,
-        options=options,
+        options=replace(base_options, seed=seed, penalty=lam),
         item_labels=items,
         feature_labels=features,
         source={"spec": cell_spec.as_dict()},

@@ -75,7 +75,9 @@ class SolverOptions:
     orthogonality weight (the lambda of the penalized objective; the name
     ``lambda`` is reserved in Python) and is ignored when
     ``ortho_mode == "none"``.  Only ``nmf_orthogonal`` reads ``ortho_mode``
-    and ``penalty``; ``nmf_multiplicative`` and ``nmf_anls`` ignore both.
+    and ``penalty``; ``nmf_multiplicative`` and ``nmf_anls`` run with
+    ``ortho_mode="none"`` and ``penalty=0.0`` whatever they are given, and a
+    report records the options its solver ran with.
     """
 
     max_iterations: int = 500
@@ -106,6 +108,14 @@ class SolverOptions:
     def effective_penalty(self):
         """The penalty weight actually applied (0 when ortho_mode is none)."""
         return 0.0 if self.ortho_mode == "none" else self.penalty
+
+
+def _unpenalized(options):
+    # the options MU and ANLS run with: they ignore the orthogonality
+    # penalty, so its mode is none and its weight 0 (None: the defaults)
+    if options is None:
+        return SolverOptions()
+    return replace(options, ortho_mode="none", penalty=0.0)
 
 
 def init_factors(m, n, k, data, seed):
@@ -333,14 +343,10 @@ def nmf_multiplicative(data, k, options=None):
     as one stacked iteration, with results equal to running them one at a
     time, and keeps the run with the lowest final objective, ties going to
     the earliest restart.  The trace covers the winning run only, starting at
-    the initial point (iteration 0).  ortho_mode is ignored here; use
-    nmf_orthogonal for the penalized regimes.
+    the initial point (iteration 0).  ortho_mode and penalty are ignored
+    here; use nmf_orthogonal for the penalized regimes.
     """
-    if options is None:
-        options = SolverOptions()
-    if options.ortho_mode != "none":
-        options = replace(options, ortho_mode="none")
-    return _run(data, k, options, _mu_update)
+    return _run(data, k, _unpenalized(options), _mu_update)
 
 
 def nmf_orthogonal(data, k, options):
@@ -467,8 +473,4 @@ def nmf_anls(data, k, options=None):
     non-increasing per half-sweep up to arithmetic noise.  Restart and
     stopping semantics match nmf_multiplicative.
     """
-    if options is None:
-        options = SolverOptions()
-    if options.ortho_mode != "none":
-        options = replace(options, ortho_mode="none")
-    return _run(data, k, options, _anls_sweep)
+    return _run(data, k, _unpenalized(options), _anls_sweep)

@@ -47,6 +47,11 @@ def test_one_traced_sweep_round_passes_its_check(bench, tmp_path):
     table = tracing.span_table(tracer.spans(), tracer.names())
     assert table["experiment.run_sweep"]["calls"] == 1
     assert table["experiment.sweep_cell"]["calls"] > 0
+    # the solvers are reached through the names the tracer patches: one
+    # mu run per seed, one ortho run per (seed, lambda)
+    sweep = bench["workloads"].Sweep
+    assert table["solvers.nmf_multiplicative"]["calls"] == sweep.SEEDS
+    assert table["solvers.nmf_orthogonal"]["calls"] == sweep.SEEDS * len(sweep.LAMBDAS)
 
 
 def test_report_oracle_ops_pass_their_check_with_six_oracle_calls(bench, tmp_path):

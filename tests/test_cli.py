@@ -110,6 +110,15 @@ def test_gen_refusal_writes_nothing(tmp_path, capsys):
     assert not matrix.exists() and not labels.exists()
 
 
+def test_gen_refuses_a_nonzero_m_for_a_graph_kind(tmp_path, capsys):
+    matrix = tmp_path / "a.mtx"
+    rc = main(["gen", "--kind", "planted-graph", "--n", "4", "--k", "2", "--m", "-3",
+               "--out-matrix", str(matrix), "--out-labels", str(tmp_path / "y.txt")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: m must be 0 for planted-graph, got -3\n"
+    assert not matrix.exists()
+
+
 def test_gen_writes_block_diagonal_feature_labels(tmp_path, capsys):
     features = tmp_path / "f.txt"
     rc = main(["gen", "--kind", "block-diagonal", "--m", "7", "--n", "6", "--k", "3",
@@ -375,6 +384,44 @@ def test_evaluate_malformed_report(dataset, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: "), name
         assert re.search(message, err), (name, err)
+
+
+def _ragged_basis_error(basis):
+    # as_matrix's text for a ragged stored basis wraps NumPy's own message
+    try:
+        np.asarray(basis, dtype=float)
+    except ValueError as exc:
+        return f"basis is not a numeric array: {exc}"
+    raise AssertionError("the basis is not ragged")
+
+
+def test_evaluate_refuses_what_it_cannot_read(dataset, tmp_path, capsys):
+    # each stored key evaluate reads is checked: the schema version, the
+    # input format and the factors, under their own names
+    matrix, _ = dataset
+    report_path = tmp_path / "report.json"
+    assert main(["factorize", "--input", str(matrix), "--k", "2",
+                 "--out", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    ragged = [report["basis"][0][:1], *report["basis"][1:]]
+    negative = [[-2.0, *report["coefficients"][0][1:]], *report["coefficients"][1:]]
+    cases = [
+        ({**report, "schema_version": "99"}, 1, "report schema_version must be '2', got '99'"),
+        ({k: v for k, v in report.items() if k != "schema_version"}, 1,
+         "report has no 'schema_version'; cannot re-evaluate"),
+        ({**report, "input": {"path": str(matrix), "format": "xml"}}, 1,
+         "report input format must be 'csv' or 'mtx', got 'xml'"),
+        ({**report, "input": {"path": str(matrix)}}, 1,
+         "report input format must be 'csv' or 'mtx', got None"),
+        ({**report, "basis": ragged}, 1, _ragged_basis_error(ragged)),
+        ({**report, "coefficients": negative}, 3,
+         "coefficients has negative entry -2 at (0, 0)"),
+    ]
+    bad = tmp_path / "bad.json"
+    for payload, code, message in cases:
+        bad.write_text(json.dumps(payload))
+        assert main(["evaluate", "--report", str(bad)]) == code, message
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_evaluate_malformed_stored_labels(dataset, tmp_path, capsys):

@@ -66,8 +66,12 @@ def test_spec_validation():
     for overlap in (float("nan"), float("inf"), -0.1):
         with pytest.raises(SpecError, match="overlap"):
             SyntheticSpec(kind="block-diagonal", m=4, n=4, k=2, overlap=overlap)
-    # graph kinds ignore m entirely
+    # graph kinds take m = 0: n is their vertex count
     SyntheticSpec(kind="directed-planted-graph", n=6, k=3)
+    for kind in ("planted-graph", "directed-planted-graph"):
+        for m in (-3, 6):
+            with pytest.raises(SpecError, match=f"^m must be 0 for {kind}, got {m}$"):
+                SyntheticSpec(kind=kind, n=6, k=3, m=m)
 
 
 # ---------------------------------------------------------------- MM

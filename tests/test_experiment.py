@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -157,6 +158,26 @@ def test_run_experiment_rejects_an_unknown_solver():
     with pytest.raises(SpecError, match=re.escape(
             "solver must be one of ('mu', 'anls', 'ortho'), got 'bogus'")):
         run_experiment(np.eye(3), 1, solver="bogus")
+
+
+def test_reports_record_the_options_mu_and_anls_ran_with():
+    # mu and anls ignore ortho_mode and penalty, so their reports record
+    # "none" and 0.0 whatever the caller passed, and their factors do not change
+    data, _, _ = generate(SPEC)
+    plain = SolverOptions(seed=1, max_iterations=40)
+    ortho = replace(plain, ortho_mode="both", penalty=1.0)
+    for solver in ("mu", "anls"):
+        want = run_experiment(data, 2, solver, plain)
+        got = run_experiment(data, 2, solver, ortho)
+        assert (got["options"]["ortho_mode"], got["options"]["lambda"]) == ("none", 0.0)
+        assert got["options"] == want["options"]
+        assert (got["basis"], got["coefficients"]) == (want["basis"], want["coefficients"])
+    want, got = run_compare(data, 2, plain), run_compare(data, 2, ortho)
+    assert (got["nmf"]["options"]["ortho_mode"], got["nmf"]["options"]["lambda"]) == (
+        "none", 0.0)
+    for key in ("basis", "coefficients", "options"):
+        assert got["nmf"][key] == want["nmf"][key], key
+    assert got["kmeans"]["labels"] == want["kmeans"]["labels"]
 
 
 def test_compare_structure():
