@@ -29,14 +29,13 @@ from .data_io import (
 )
 from .errors import ConvergenceError, DegenerateFactorError, DomainError, ParseError
 from .experiment import (
-    SOLVERS,
     evaluate_report,
     run_compare,
     run_experiment,
     run_sweep,
     summary_rows_to_csv,
 )
-from .solvers import DIAGNOSTIC_STRIDE, ORTHO_MODES, SolverOptions
+from .solvers import DIAGNOSTIC_STRIDE, ORTHO_MODES, SOLVERS, SolverOptions
 
 __all__ = ["main"]
 

@@ -37,7 +37,7 @@ from .metrics import (
     orthogonality_deviation,
     ratio_association,
 )
-from .solvers import SolverOptions, _unpenalized, nmf_anls, nmf_multiplicative, nmf_orthogonal
+from .solvers import SolverOptions, _runs_with, nmf_anls, nmf_multiplicative, nmf_orthogonal
 
 __all__ = [
     "run_experiment",
@@ -48,8 +48,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = "2"
-
-SOLVERS = ("mu", "anls", "ortho")
 
 SUMMARY_COLUMNS = (
     "solver",
@@ -94,9 +92,7 @@ def _run_solver(data, k, solver, options):
         return nmf_multiplicative(data, k, options)
     if solver == "anls":
         return nmf_anls(data, k, options)
-    if solver == "ortho":
-        return nmf_orthogonal(data, k, options)
-    raise SpecError(f"solver must be one of {SOLVERS}, got {solver!r}")
+    return nmf_orthogonal(data, k, options)
 
 
 def _score(affinity, part, truth):
@@ -175,11 +171,8 @@ def run_experiment(
     ``penalty=0.0`` whatever ``options`` holds.  Wall-clock time covers
     the solver only, not the metric pass.
     """
-    if options is None:
-        options = SolverOptions()
-    if solver != "ortho":
-        options = _unpenalized(options)
     data = as_matrix(data, "data")
+    options = _runs_with(solver, options)
     started = time.perf_counter()
     pair, trace = _run_solver(data, k, solver, options)
     seconds = time.perf_counter() - started
@@ -314,7 +307,7 @@ def _read_report(report, item_labels, feature_labels):
         stored, count = report.get(key), data.shape[1 - i]  # n items, m features
         if labels[i] is None and stored is not None:
             if (not isinstance(stored, list) or len(stored) != count
-                    or any(_as_int(label) is None or label < 0 for label in stored)):
+                    or any(_as_int(label) is None or not 0 <= label < 2**63 for label in stored)):
                 raise SpecError(f"report's {key!r} must be a list of {count} non-negative integers")
             labels[i] = Partition(np.asarray(stored), max(stored) + 1)
         if labels[i] is None:
@@ -341,14 +334,13 @@ def evaluate_report(report, item_labels=None, feature_labels=None):
     }
 
 
-def _sweep_cell(spec, solver, seed, lam, base_options):
-    cell_spec = replace(spec, seed=seed)
+def _sweep_cell(cell_spec, solver, options):
     data, items, features = generate(cell_spec)
     return run_experiment(
         data,
         cell_spec.k,
         solver=solver,
-        options=replace(base_options, seed=seed, penalty=lam),
+        options=options,
         item_labels=items,
         feature_labels=features,
         source={"spec": cell_spec.as_dict()},
@@ -361,11 +353,12 @@ def run_sweep(spec, solvers, seeds, lambdas, base_options=None):
     Every cell regenerates its dataset with the cell's seed (which also
     seeds the solver) so cells are independent.  Returns one report per
     cell in (solver, seed, lambda) sort order; a value repeated in
-    ``solvers``, ``seeds`` or ``lambdas`` runs once.  Lambda reaches only the
-    ortho solver, so a mu or anls run is computed once per seed and its
-    report repeated for each lambda, differing only in ``lambda``; the
-    repeated reports share their nested lists.  Every lambda must be
-    finite and >= 0, whichever solvers run.
+    ``solvers``, ``seeds`` or ``lambdas`` runs once.  Every cell's seed,
+    lambda, solver and ortho mode are checked before the first cell runs,
+    and the first faulty cell in the order given raises.  Cells whose
+    solver runs with equal options run once: mu and anls run unpenalized,
+    so each is computed once per seed and its report repeated for each
+    lambda, sharing its nested lists and differing only in ``lambda``.
     """
     if base_options is None:
         base_options = SolverOptions()
@@ -374,20 +367,15 @@ def run_sweep(spec, solvers, seeds, lambdas, base_options=None):
         raise SpecError("empty seed range")
     if not solvers:
         raise SpecError("no solvers selected")
-    if not lambdas:
-        lambdas = [0.0]
-    for lam in lambdas:
-        replace(base_options, penalty=lam)  # raises on a bad penalty
-    for solver in solvers:
-        if solver not in SOLVERS:
-            raise SpecError(f"unknown solver {solver!r}; choose from {SOLVERS}")
+    cells = [(solver, replace(spec, seed=seed), lam,
+              _runs_with(solver, replace(base_options, seed=seed, penalty=lam)))
+             for solver, seed, lam in product(solvers, seeds, lambdas or [0.0])]
     runs = {}
     reports = []
-    for solver, seed, lam in sorted(product(solvers, seeds, lambdas)):
-        key = (solver, seed, lam if solver == "ortho" else None)
-        if key not in runs:
-            runs[key] = _sweep_cell(spec, solver, seed, lam, base_options)
-        reports.append({**runs[key], "lambda": lam})
+    for solver, cell_spec, lam, options in sorted(cells, key=lambda c: (c[0], c[1].seed, c[2])):
+        if (solver, options) not in runs:
+            runs[solver, options] = _sweep_cell(cell_spec, solver, options)
+        reports.append({**runs[solver, options], "lambda": lam})
     return reports
 
 
@@ -395,10 +383,9 @@ def summary_rows_to_csv(reports):
     """Render sweep reports as the summary CSV text (header + one row/cell)."""
     lines = [",".join(SUMMARY_COLUMNS)]
     for rep in reports:
-        lam = rep.get("lambda", rep["options"]["lambda"])
         rendered = []
         for col in SUMMARY_COLUMNS:
-            value = lam if col == "lambda" else rep[col]
+            value = rep[col]
             if value is None:
                 rendered.append("")
             elif isinstance(value, float):

@@ -43,6 +43,7 @@ from .errors import (
     DegenerateInputError,
     DomainError,
     ShapeError,
+    SpecError,
 )
 
 __all__ = [
@@ -58,6 +59,8 @@ __all__ = [
     "anls_basis_step",
     "nmf_anls",
 ]
+
+SOLVERS = ("mu", "anls", "ortho")
 
 ORTHO_MODES = ("none", "rows_of_C", "cols_of_B", "both")
 
@@ -75,9 +78,11 @@ class SolverOptions:
     orthogonality weight (the lambda of the penalized objective; the name
     ``lambda`` is reserved in Python) and is ignored when
     ``ortho_mode == "none"``.  Only ``nmf_orthogonal`` reads ``ortho_mode``
-    and ``penalty``; ``nmf_multiplicative`` and ``nmf_anls`` run with
-    ``ortho_mode="none"`` and ``penalty=0.0`` whatever they are given, and a
-    report records the options its solver ran with.
+    and ``penalty``, and it needs a mode other than none;
+    ``nmf_multiplicative`` and ``nmf_anls`` run with ``ortho_mode="none"``
+    and ``penalty=0.0`` whatever they are given, and a report records the
+    options its solver ran with.  ``run_sweep`` checks every cell's seed,
+    lambda, solver and ortho mode before its first cell runs.
     """
 
     max_iterations: int = 500
@@ -110,12 +115,21 @@ class SolverOptions:
         return 0.0 if self.ortho_mode == "none" else self.penalty
 
 
-def _unpenalized(options):
-    # the options MU and ANLS run with: they ignore the orthogonality
-    # penalty, so its mode is none and its weight 0 (None: the defaults)
+def _runs_with(solver, options):
+    # the options ``solver`` (one of SOLVERS) runs with, None being the
+    # defaults: mu and anls ignore the orthogonality penalty, so its mode is
+    # none and its weight 0, and ortho needs a mode
+    if solver not in SOLVERS:
+        raise SpecError(f"solver must be one of {SOLVERS}, got {solver!r}")
     if options is None:
-        return SolverOptions()
-    return replace(options, ortho_mode="none", penalty=0.0)
+        options = SolverOptions()
+    if solver != "ortho":
+        return replace(options, ortho_mode="none", penalty=0.0)
+    if options.ortho_mode == "none":
+        raise ValueError("nmf_orthogonal requires ortho_mode in "
+                         "{rows_of_C, cols_of_B, both}; use nmf_multiplicative "
+                         "for the unpenalized problem")
+    return options
 
 
 def init_factors(m, n, k, data, seed):
@@ -346,7 +360,7 @@ def nmf_multiplicative(data, k, options=None):
     the initial point (iteration 0).  ortho_mode and penalty are ignored
     here; use nmf_orthogonal for the penalized regimes.
     """
-    return _run(data, k, _unpenalized(options), _mu_update)
+    return _run(data, k, _runs_with("mu", options), _mu_update)
 
 
 def nmf_orthogonal(data, k, options):
@@ -358,11 +372,7 @@ def nmf_orthogonal(data, k, options):
     alongside it.  With penalty=0 the arithmetic reduces exactly to
     nmf_multiplicative, iterate for iterate.
     """
-    if options is None or options.ortho_mode == "none":
-        raise ValueError("nmf_orthogonal requires ortho_mode in "
-                         "{rows_of_C, cols_of_B, both}; use nmf_multiplicative "
-                         "for the unpenalized problem")
-    return _run(data, k, options, _mu_update)
+    return _run(data, k, _runs_with("ortho", options), _mu_update)
 
 
 @dataclass(frozen=True)
@@ -473,4 +483,4 @@ def nmf_anls(data, k, options=None):
     non-increasing per half-sweep up to arithmetic noise.  Restart and
     stopping semantics match nmf_multiplicative.
     """
-    return _run(data, k, _unpenalized(options), _anls_sweep)
+    return _run(data, k, _runs_with("anls", options), _anls_sweep)

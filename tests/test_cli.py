@@ -434,12 +434,13 @@ def test_evaluate_malformed_stored_labels(dataset, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     for key in ("item_labels", "feature_labels"):
         for labels in ([-1] * 8, [0.5] * 8, [1.0] * 8, [True] * 8, [], [[0]] * 8,
-                       [0, 1] * 3, [0, 1] * 5, "01010101", 3):
+                       [0, 1] * 3, [0, 1] * 5, "01010101", 3,
+                       # integers that do not fit int64
+                       [0, 1, 0, 1, 0, 2**63, 0, 1], [0, 1, 0, 1, 0, 10**30, 0, 1]):
             bad.write_text(json.dumps({**report, key: labels}))
             assert main(["evaluate", "--report", str(bad)]) == 1, (key, labels)
-            err = capsys.readouterr().err
-            assert err.startswith("error: "), (key, labels, err)
-            assert f"'{key}' must be a list of 8 non-negative integers" in err, err
+            assert capsys.readouterr() == (
+                "", f"error: report's '{key}' must be a list of 8 non-negative integers\n")
     bad.write_text(json.dumps({**report, "item_labels": [0, 1, 2, 0, 1, 2, 0, 1]}))
     assert main(["evaluate", "--report", str(bad)]) == 0
     assert json.loads(capsys.readouterr().out)["accuracy"] is not None

@@ -222,7 +222,9 @@ def test_sweep_grid_and_determinism():
     sweep = run_sweep(SPEC, ["mu", "ortho"], seeds, lambdas, base_options=options)
     cells = sorted((solver, seed, lam) for solver in ("mu", "ortho")
                    for seed in seeds for lam in lambdas)
-    reference = [{**_sweep_cell(SPEC, *cell, options), "lambda": cell[2]} for cell in cells]
+    reference = [{**_sweep_cell(replace(SPEC, seed=seed), solver,
+                                replace(options, seed=seed, penalty=lam)), "lambda": lam}
+                 for solver, seed, lam in cells]
     assert len(sweep) == 8
     keys = [(r["solver"], r["seed"], r["lambda"]) for r in sweep]
     assert keys == cells
@@ -235,7 +237,9 @@ def test_sweep_grid_and_determinism():
         assert got == want
 
 
-def test_sweep_runs_each_lambda_blind_cell_once(monkeypatch):
+@pytest.fixture
+def solver_calls(monkeypatch):
+    # the number of calls of each solver that experiment makes
     calls = {"mu": 0, "anls": 0, "ortho": 0}
 
     def counting(solver, fn):
@@ -249,14 +253,40 @@ def test_sweep_runs_each_lambda_blind_cell_once(monkeypatch):
     monkeypatch.setattr(experiment, "nmf_anls", counting("anls", experiment.nmf_anls))
     monkeypatch.setattr(experiment, "nmf_orthogonal",
                         counting("ortho", experiment.nmf_orthogonal))
+    return calls
+
+
+def test_sweep_runs_each_lambda_blind_cell_once(solver_calls):
     reports = run_sweep(SPEC, ["mu", "anls", "ortho"], [0, 1], [0.0, 0.5, 1.0],
                         base_options=SolverOptions(ortho_mode="rows_of_C"))
-    assert calls == {"mu": 2, "anls": 2, "ortho": 6}
+    assert solver_calls == {"mu": 2, "anls": 2, "ortho": 6}
     assert len(reports) == 18
     first = {(r["solver"], r["seed"]): r for r in reports if r["lambda"] == 0.0}
     for rep in reports:
         if rep["solver"] != "ortho":
             assert {**rep, "lambda": 0.0} == first[(rep["solver"], rep["seed"])]
+
+
+ORTHO = SolverOptions(ortho_mode="rows_of_C")
+
+
+@pytest.mark.parametrize("solvers, seeds, lambdas, options, error, message", [
+    (["mu", "ortho"], [0, 1], [0.0], SolverOptions(), ValueError,
+     "nmf_orthogonal requires ortho_mode in {rows_of_C, cols_of_B, both}; "
+     "use nmf_multiplicative for the unpenalized problem"),
+    (["mu"], [0, 1.5], [0.0], None, SpecError, "seed must be an integer, got 1.5"),
+    (["mu"], [0, "3"], [0.0], None, SpecError, "seed must be an integer, got '3'"),
+    (["mu", "pca"], [0], [0.0], None, SpecError,
+     "solver must be one of ('mu', 'anls', 'ortho'), got 'pca'"),
+    (["mu", "ortho"], [0, 1], [0.0, -1.0], ORTHO, ValueError,
+     "penalty must be finite and >= 0, got -1.0"),
+], ids=["ortho-without-mode", "seed-1.5", "seed-str", "unknown-solver", "bad-lambda"])
+def test_sweep_raises_before_its_first_cell_runs(
+        solver_calls, solvers, seeds, lambdas, options, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
+        run_sweep(SPEC, solvers, seeds, lambdas, base_options=options)
+    assert type(raised.value) is error
+    assert solver_calls == {"mu": 0, "anls": 0, "ortho": 0}
 
 
 def test_sweep_runs_a_repeated_value_once():
@@ -284,7 +314,8 @@ def test_sweep_input_validation():
         run_sweep(SPEC, ["mu"], [], [0.0])
     with pytest.raises(SpecError, match="solver"):
         run_sweep(SPEC, [], [0], [0.0])
-    with pytest.raises(SpecError, match="unknown solver"):
+    with pytest.raises(SpecError, match=re.escape(
+            "solver must be one of ('mu', 'anls', 'ortho'), got 'pca'")):
         run_sweep(SPEC, ["pca"], [0], [0.0])
     for lam in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match=re.escape(
