@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affinity import _is_symmetric, weights_array
-from .core import _integer_fields, _rank, as_matrix
+from .core import _integer_fields, _rank, _real_fields, as_matrix
 from .errors import DomainError, RankError
 from .metrics import Partition
 
@@ -21,6 +21,10 @@ __all__ = ["KmeansOptions", "kmeans", "jacobi_eigen", "spectral_ratio_assoc"]
 
 @dataclass(frozen=True)
 class KmeansOptions:
+    """Settings of ``kmeans``.  The counts are integers and ``tolerance``, the
+    center shift that ends a Lloyd run, is a finite real >= 0 stored as a
+    float; a bool or any other value raises ValueError."""
+
     k: int
     max_iterations: int = 100
     seed: int = 0
@@ -30,8 +34,7 @@ class KmeansOptions:
     def __post_init__(self):
         _integer_fields(self, {"k": 1, "max_iterations": 1, "seed": 0, "restarts": 1},
                         ValueError)
-        if not self.tolerance >= 0.0:
-            raise ValueError(f"tolerance must be >= 0, got {self.tolerance}")
+        _real_fields(self, {"tolerance": "finite and >= 0"}, ValueError)
 
 
 def _sq_dists(points, centers):

@@ -222,8 +222,8 @@ def _build_parser():
                    help="matrix file (.csv for CSV, MatrixMarket otherwise)")
     p.add_argument("--k", type=int, required=True, help="factorization rank")
     p.add_argument("--solver", default="mu", choices=SOLVERS)
-    p.add_argument("--ortho-mode", default="none", choices=ORTHO_MODES)
-    p.add_argument("--lambda", dest="penalty", type=float, default=0.0,
+    p.add_argument("--ortho-mode", default=SolverOptions.ortho_mode, choices=ORTHO_MODES)
+    p.add_argument("--lambda", dest="penalty", type=float, default=SolverOptions.penalty,
                    help="orthogonality penalty weight")
     _add_solver_flags(p)
     p.add_argument("--labels", default=None, help="planted item labels")
@@ -248,8 +248,8 @@ def _build_parser():
     p.add_argument("--solvers", nargs="+", default=["mu"], choices=SOLVERS)
     p.add_argument("--seeds", required=True,
                    help="a..b inclusive range (or a single integer)")
-    p.add_argument("--lambdas", nargs="+", type=float, default=[0.0])
-    p.add_argument("--ortho-mode", default="none", choices=ORTHO_MODES)
+    p.add_argument("--lambdas", nargs="+", type=float, default=[SolverOptions.penalty])
+    p.add_argument("--ortho-mode", default=SolverOptions.ortho_mode, choices=ORTHO_MODES)
     _add_solver_flags(p, with_seed=False)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_sweep)

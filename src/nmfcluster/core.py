@@ -13,6 +13,8 @@ Matrices are plain float64 ndarrays.  ``as_matrix`` and
 points call them instead of trusting the caller.
 """
 
+import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -50,6 +52,31 @@ def _integer_fields(obj, bounds, error):
         if lower is not None and value < lower:
             raise error(f"{name} must be >= {lower}, got {value}")
         object.__setattr__(obj, name, value)
+
+
+# the test of each bound a real field may have, by its text
+_REAL_BOUNDS = {
+    "finite and > 0": lambda v: 0.0 < v < math.inf,
+    "finite and >= 0": lambda v: 0.0 <= v < math.inf,
+    "in [0, 1)": lambda v: 0.0 <= v < 1.0,
+}
+
+
+def _real_fields(obj, bounds, error):
+    # store each field of a frozen dataclass named in ``bounds`` as a float,
+    # in order; raise ``error`` for a bool, a value that is not a real
+    # number, or one outside its bound (a text in _REAL_BOUNDS)
+    for name, bound in bounds.items():
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise error(f"{name} must be a number, got {value!r}")
+        try:
+            real = float(value)
+        except OverflowError:  # an integer or fraction past the largest float
+            real = math.inf
+        if not _REAL_BOUNDS[bound](real):
+            raise error(f"{name} must be {bound}, got {value}")
+        object.__setattr__(obj, name, real)
 
 
 def _rank(k, m, n):
@@ -224,10 +251,8 @@ class FactorPair:
                 f"rank {self.rank} inconsistent with basis {basis.shape} and "
                 f"coefficients {coef.shape}"
             )
-        if not np.isfinite(self.objective) or self.objective < 0.0:
-            raise DomainError(f"objective must be finite and >= 0, got {self.objective}")
-        if self.iterations < 0:
-            raise DomainError(f"iterations must be >= 0, got {self.iterations}")
+        _real_fields(self, {"objective": "finite and >= 0"}, DomainError)
+        _integer_fields(self, {"rank": None, "iterations": 0}, DomainError)
         object.__setattr__(self, "basis", _frozen(basis))
         object.__setattr__(self, "coefficients", _frozen(coef))
 

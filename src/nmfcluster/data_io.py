@@ -33,7 +33,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .affinity import AffinityMatrix
-from .core import _integer_fields, as_matrix
+from .core import _integer_fields, _real_fields, as_matrix
 from .errors import ParseError, SpecError
 from .metrics import Partition
 
@@ -63,7 +63,9 @@ class SyntheticSpec:
     ``n`` as the vertex count and take ``m = 0``.  ``overlap`` only matters
     for mixture-docs (weight of the non-dominant topics); ``noise`` is the
     off-block level for block/graph kinds and the additive noise scale
-    for mixtures.
+    for mixtures.  The counts are integers; ``noise`` is a real in [0, 1)
+    and ``overlap`` a finite one >= 0 (< 1 for mixture-docs), stored as
+    floats.  A bool or any other value raises SpecError.
     """
 
     kind: str
@@ -93,10 +95,7 @@ class SyntheticSpec:
                     f"k must be in [1, min(m, n)] = [1, {min(self.m, self.n)}], "
                     f"got {self.k}"
                 )
-        if not 0.0 <= self.noise < 1.0:
-            raise SpecError(f"noise must be in [0, 1), got {self.noise}")
-        if not 0.0 <= self.overlap < np.inf:
-            raise SpecError(f"overlap must be finite and >= 0, got {self.overlap}")
+        _real_fields(self, {"noise": "in [0, 1)", "overlap": "finite and >= 0"}, SpecError)
         if self.kind == "mixture-docs" and not self.overlap < 1.0:
             raise SpecError(
                 f"overlap must be < 1 for mixture-docs (the dominant topic "
@@ -298,18 +297,24 @@ def _check_floats(parts, lineno, path):
 # ---------------------------------------------------------------------------
 # CSV matrices and label files
 
+def _nonblank_lines(path, what):
+    # (line number, stripped text) of each nonblank line, numbered over "\n";
+    # a ParseError "no {what}" when there is none
+    stripped = (line.strip() for line in read_text(path).split("\n"))
+    lines = [(lineno, line) for lineno, line in enumerate(stripped, start=1) if line]
+    if not lines:
+        raise ParseError(f"{path}: no {what}")
+    return lines
+
+
 def read_csv_matrix(path):
     """Rectangular numeric CSV, no header row."""
+    lines = _nonblank_lines(path, "data rows")
+    width = len(lines[0][1].split(","))
     rows = []
-    width = None
-    for ridx, line in enumerate(read_text(path).split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for ridx, line in lines:
         parts = line.split(",")
-        if width is None:
-            width = len(parts)
-        elif len(parts) != width:
+        if len(parts) != width:
             raise ParseError(
                 f"{path}: ragged row {ridx}: expected {width} values, got "
                 f"{len(parts)}"
@@ -318,8 +323,6 @@ def read_csv_matrix(path):
             rows.append([float(p) for p in parts])
         except ValueError:
             raise ParseError(f"{path}: non-numeric value in row {ridx}") from None
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
     return np.asarray(rows)
 
 
@@ -349,25 +352,15 @@ def write_csv_matrix(path, matrix):
 def read_labels(path):
     """One integer per line, re-indexed densely by first appearance."""
     raw = []
-    for ridx, line in enumerate(read_text(path).split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for ridx, line in _nonblank_lines(path, "labels"):
         try:
             raw.append(int(line))
         except ValueError:
             raise ParseError(
                 f"{path}: non-integer label {line!r} at line {ridx}"
             ) from None
-    if not raw:
-        raise ParseError(f"{path}: no labels")
-    remap = {}
-    dense = []
-    for value in raw:
-        if value not in remap:
-            remap[value] = len(remap)
-        dense.append(remap[value])
-    return Partition(np.asarray(dense), len(remap))
+    remap = {value: label for label, value in enumerate(dict.fromkeys(raw))}
+    return Partition(np.asarray([remap[value] for value in raw]), len(remap))
 
 
 def write_labels(path, partition):

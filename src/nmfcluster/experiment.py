@@ -367,8 +367,9 @@ def run_sweep(spec, solvers, seeds, lambdas, base_options=None):
         raise SpecError("empty seed range")
     if not solvers:
         raise SpecError("no solvers selected")
-    cells = [(solver, replace(spec, seed=seed), lam,
-              _runs_with(solver, replace(base_options, seed=seed, penalty=lam)))
+    cells = [(solver, replace(spec, seed=seed),
+              (asked := replace(base_options, seed=seed, penalty=lam)).penalty,
+              _runs_with(solver, asked))
              for solver, seed, lam in product(solvers, seeds, lambdas or [0.0])]
     runs = {}
     reports = []

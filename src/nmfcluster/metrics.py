@@ -39,6 +39,14 @@ MATCHING_MAX_K = 64
 LABELING_BLOCK = 4096
 
 
+def _cluster_count(n_clusters):
+    # n_clusters as an int; DomainError unless it is an integer >= 1
+    k = _as_int(n_clusters)
+    if k is None or k < 1:
+        raise DomainError(f"n_clusters must be an integer >= 1, got {n_clusters!r}")
+    return k
+
+
 @dataclass(frozen=True)
 class Partition:
     """Hard cluster labels over n elements, values in [0, n_clusters)."""
@@ -54,9 +62,7 @@ class Partition:
             if not np.all(arr == np.floor(arr)):
                 raise DomainError("labels must be integers")
         arr = _frozen(arr, np.int64)
-        k = _as_int(self.n_clusters)
-        if k is None or k < 1:
-            raise DomainError(f"n_clusters must be an integer >= 1, got {self.n_clusters!r}")
+        k = _cluster_count(self.n_clusters)
         if arr.min() < 0 or arr.max() >= k:
             bad = int(np.flatnonzero((arr < 0) | (arr >= k))[0])
             raise DomainError(f"label {arr[bad]} at position {bad} outside [0, {k})")
@@ -165,9 +171,7 @@ def brute_force_ratio_assoc(affinity, n_clusters):
         raise SizeLimitError(
             f"brute force enumeration is capped at n <= {BRUTE_FORCE_MAX_N}, got {n}"
         )
-    k = _as_int(n_clusters)
-    if k is None or k < 1:
-        raise DomainError(f"n_clusters must be an integer >= 1, got {n_clusters!r}")
+    k = _cluster_count(n_clusters)
 
     width = min(k, n)  # no label of n elements exceeds n - 1
     # parents per block, so that no block grows more than LABELING_BLOCK children

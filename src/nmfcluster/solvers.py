@@ -37,6 +37,7 @@ from .core import (
     _kkt_norms,
     _offdiag_energy,
     _rank,
+    _real_fields,
 )
 from .errors import (
     ConvergenceError,
@@ -81,8 +82,9 @@ class SolverOptions:
     and ``penalty``, and it needs a mode other than none;
     ``nmf_multiplicative`` and ``nmf_anls`` run with ``ortho_mode="none"``
     and ``penalty=0.0`` whatever they are given, and a report records the
-    options its solver ran with.  ``run_sweep`` checks every cell's seed,
-    lambda, solver and ortho mode before its first cell runs.
+    options its solver ran with.  The counts are integers; ``tolerance``
+    and ``epsilon_guard`` are finite reals > 0 and ``penalty`` one >= 0,
+    stored as floats.  A bool or any other value raises ValueError.
     """
 
     max_iterations: int = 500
@@ -97,17 +99,12 @@ class SolverOptions:
     def __post_init__(self):
         _integer_fields(self, {"max_iterations": 1, "window": 1, "seed": 0, "restarts": 1},
                         ValueError)
-        if not 0.0 < self.tolerance < np.inf:
-            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
-        if not 0.0 < self.epsilon_guard < np.inf:
-            raise ValueError(
-                f"epsilon_guard must be finite and > 0, got {self.epsilon_guard}")
+        _real_fields(self, {"tolerance": "finite and > 0", "epsilon_guard": "finite and > 0",
+                            "penalty": "finite and >= 0"}, ValueError)
         if self.ortho_mode not in ORTHO_MODES:
             raise ValueError(
                 f"ortho_mode must be one of {ORTHO_MODES}, got {self.ortho_mode!r}"
             )
-        if not 0.0 <= self.penalty < np.inf:
-            raise ValueError(f"penalty must be finite and >= 0, got {self.penalty}")
 
     @property
     def effective_penalty(self):

@@ -25,6 +25,8 @@ def test_kmeans_options_validation():
         KmeansOptions(k=1, tolerance=-1.0)
     with pytest.raises(ValueError, match="tolerance"):
         KmeansOptions(k=1, tolerance=float("nan"))
+    with pytest.raises(ValueError, match="^tolerance must be finite and >= 0, got inf$"):
+        KmeansOptions(k=1, tolerance=float("inf"))
     for field, value in (("k", 2.5), ("k", True), ("restarts", 2.0),
                          ("max_iterations", 3.5), ("seed", 1.5)):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):

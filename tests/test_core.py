@@ -1,8 +1,12 @@
 """Objective, gradients, KKT residual, normalization, and the containers."""
 
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from nmfcluster.baselines import KmeansOptions
 from nmfcluster.core import (
     ConvergenceTrace,
     FactorPair,
@@ -15,11 +19,14 @@ from nmfcluster.core import (
     normalize_factors,
     require_nonnegative,
 )
+from nmfcluster.data_io import SyntheticSpec
 from nmfcluster.errors import (
     DegenerateFactorError,
     DomainError,
     ShapeError,
+    SpecError,
 )
+from nmfcluster.solvers import SolverOptions
 
 from oracles import numeric_gradient
 
@@ -196,6 +203,11 @@ def test_factor_pair_validation():
         FactorPair(b, c, rank=2, objective=np.nan, iterations=1, converged=False)
     with pytest.raises(DomainError):
         FactorPair(-b, c, rank=2, objective=1.0, iterations=1, converged=False)
+    # rank and iterations are integers, not integral floats
+    with pytest.raises(DomainError, match="^rank must be an integer, got 2.0$"):
+        FactorPair(b, c, rank=2.0, objective=1.0, iterations=1, converged=False)
+    with pytest.raises(DomainError, match="^iterations must be an integer, got 2.5$"):
+        FactorPair(b, c, rank=2, objective=1.0, iterations=2.5, converged=False)
 
 
 def test_convergence_trace_validation():
@@ -237,3 +249,38 @@ def test_convergence_trace_validation():
     with pytest.raises(ShapeError):
         ConvergenceTrace(**{**strided, "iteration": [0, 1, 3, 4],
                             "diagnostic_iteration": [0, 2, 4]})
+
+
+# every real-valued field: its class, the other arguments it needs, its name,
+# the error class it raises
+REAL_FIELDS = [
+    (SolverOptions, {}, "tolerance", ValueError),
+    (SolverOptions, {}, "epsilon_guard", ValueError),
+    (SolverOptions, {}, "penalty", ValueError),
+    (SyntheticSpec, {"kind": "block-diagonal", "m": 4, "n": 4, "k": 2}, "noise", SpecError),
+    (SyntheticSpec, {"kind": "block-diagonal", "m": 4, "n": 4, "k": 2}, "overlap", SpecError),
+    (KmeansOptions, {"k": 2}, "tolerance", ValueError),
+    (FactorPair, {"basis": np.ones((3, 2)), "coefficients": np.ones((2, 4)), "rank": 2,
+                  "iterations": 1, "converged": True}, "objective", DomainError),
+]
+REAL_FIELD_IDS = [f"{cls.__name__}.{name}" for cls, _, name, _ in REAL_FIELDS]
+
+
+@pytest.mark.parametrize("value", ["x", None, True, 1j], ids=["str", "None", "bool", "complex"])
+@pytest.mark.parametrize("cls, given, name, error", REAL_FIELDS, ids=REAL_FIELD_IDS)
+def test_real_field_must_be_a_number(cls, given, name, error, value):
+    message = f"{name} must be a number, got {value!r}"
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
+        cls(**given, **{name: value})
+    assert type(raised.value) is error
+
+
+@pytest.mark.parametrize("cls, given, name, error", REAL_FIELDS, ids=REAL_FIELD_IDS)
+def test_real_field_is_stored_as_a_float(cls, given, name, error):
+    # a NumPy float, a NumPy integer and a fraction inside the bound become floats
+    for value in (np.float32(0.5), np.int64(0 if name == "noise" else 1), Fraction(1, 4)):
+        stored = getattr(cls(**given, **{name: value}), name)
+        assert type(stored) is float and stored == float(value)
+    # past the largest float is not finite, and raises the type's error
+    with pytest.raises(error, match=f"^{name} must be (finite|in)"):
+        cls(**given, **{name: 10**400})

@@ -79,6 +79,14 @@ def test_report_with_a_numpy_integer_rank_is_json_ready():
     report = run_experiment(data, np.int64(2), options=SolverOptions(max_iterations=5))
     assert report["rank"] == 2
     assert json.loads(json.dumps(report)) == report
+    # NumPy floats as a tolerance and as the recorded spec's noise
+    spec = replace(SPEC, noise=np.float32(0.1))
+    data, _, _ = generate(spec)
+    report = run_experiment(data, 2, source={"spec": spec.as_dict()},
+                            options=SolverOptions(max_iterations=5, tolerance=np.float32(1e-3)))
+    assert report["options"]["tolerance"] == float(np.float32(1e-3))
+    assert report["input"]["spec"]["noise"] == float(np.float32(0.1))
+    assert json.loads(json.dumps(report)) == report
 
 
 def test_report_trace_is_opt_in():
@@ -280,7 +288,9 @@ ORTHO = SolverOptions(ortho_mode="rows_of_C")
      "solver must be one of ('mu', 'anls', 'ortho'), got 'pca'"),
     (["mu", "ortho"], [0, 1], [0.0, -1.0], ORTHO, ValueError,
      "penalty must be finite and >= 0, got -1.0"),
-], ids=["ortho-without-mode", "seed-1.5", "seed-str", "unknown-solver", "bad-lambda"])
+    (["mu"], [0], [0.0, "0.5"], None, ValueError, "penalty must be a number, got '0.5'"),
+], ids=["ortho-without-mode", "seed-1.5", "seed-str", "unknown-solver", "bad-lambda",
+        "lambda-str"])
 def test_sweep_raises_before_its_first_cell_runs(
         solver_calls, solvers, seeds, lambdas, options, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
@@ -294,6 +304,17 @@ def test_sweep_runs_a_repeated_value_once():
                      base_options=SolverOptions(ortho_mode="rows_of_C", max_iterations=20))
     assert [(r["solver"], r["seed"], r["lambda"]) for r in grid] == sorted(
         product(("mu", "ortho"), (0, 1), (0.0, 0.5)))
+
+
+def test_sweep_lambda_is_the_checked_float():
+    # the top-level lambda is the float the options hold, which ortho records
+    grid = run_sweep(SPEC, ["mu", "ortho"], [0], [1, np.float32(0.5)],
+                     base_options=SolverOptions(ortho_mode="rows_of_C", max_iterations=5))
+    assert [(r["solver"], r["lambda"]) for r in grid] == [
+        ("mu", 0.5), ("mu", 1.0), ("ortho", 0.5), ("ortho", 1.0)]
+    assert all(type(r["lambda"]) is float for r in grid)
+    assert [r["options"]["lambda"] for r in grid] == [0.0, 0.0, 0.5, 1.0]
+    assert json.loads(json.dumps(grid)) == grid
 
 
 def test_sweep_cell_matches_direct_run():
