@@ -9,14 +9,15 @@ re-evaluates to the same numbers exactly.
 
 ``evaluate_report`` recomputes every metric from a report's stored
 factors (reloading or regenerating the data named by its input
-descriptor) and ``run_sweep`` runs one experiment grid serially, one
-report per (solver, seed, lambda) cell plus a deterministic summary
-table.
+descriptor) and ``run_sweep`` runs one experiment grid, its MU cells
+solved as stacked problems, one report per (solver, seed, lambda) cell
+plus a deterministic summary table.
 """
 
 import time
+from collections import Counter
 from dataclasses import asdict, replace
-from itertools import product
+from itertools import groupby, product
 
 import numpy as np
 
@@ -37,7 +38,8 @@ from .metrics import (
     orthogonality_deviation,
     ratio_association,
 )
-from .solvers import SolverOptions, _runs_with, nmf_anls, nmf_multiplicative, nmf_orthogonal
+from .solvers import (SolverOptions, _anls_sweep, _mu_update, _run, _runs_with, nmf_anls,
+                      nmf_multiplicative, nmf_orthogonal)
 
 __all__ = [
     "run_experiment",
@@ -73,26 +75,9 @@ def _options_dict(options):
 
 
 def _trace_dict(trace):
-    out = {
-        "iteration": trace.iteration.tolist(),
-        "objective": trace.objective.tolist(),
-        "diagnostic_iteration": trace.diagnostic_iteration.tolist(),
-        "kkt_basis": trace.kkt_basis.tolist(),
-        "kkt_coef": trace.kkt_coef.tolist(),
-        "basis_offdiag": trace.basis_offdiag.tolist(),
-        "coef_offdiag": trace.coef_offdiag.tolist(),
-    }
-    if trace.penalized is not None:
-        out["penalized"] = trace.penalized.tolist()
-    return out
-
-
-def _run_solver(data, k, solver, options):
-    if solver == "mu":
-        return nmf_multiplicative(data, k, options)
-    if solver == "anls":
-        return nmf_anls(data, k, options)
-    return nmf_orthogonal(data, k, options)
+    return {key: getattr(trace, key).tolist() for key in (
+        "iteration", "objective", "diagnostic_iteration", "kkt_basis", "kkt_coef",
+        "basis_offdiag", "coef_offdiag", "penalized") if getattr(trace, key) is not None}
 
 
 def _score(affinity, part, truth):
@@ -174,9 +159,17 @@ def run_experiment(
     data = as_matrix(data, "data")
     options = _runs_with(solver, options)
     started = time.perf_counter()
-    pair, trace = _run_solver(data, k, solver, options)
+    solve = {"mu": nmf_multiplicative, "anls": nmf_anls, "ortho": nmf_orthogonal}[solver]
+    solved = solve(data, k, options)
     seconds = time.perf_counter() - started
+    return _report(data, solver, options, solved, seconds, item_labels, feature_labels,
+                   source, include_trace)
 
+
+def _report(data, solver, options, solved, seconds, item_labels, feature_labels, source,
+            include_trace=False):
+    # the report of one solved (FactorPair, ConvergenceTrace) pair
+    pair, trace = solved
     report = {
         "schema_version": SCHEMA_VERSION,
         "input": source if source is not None else {"shape": list(data.shape)},
@@ -191,19 +184,9 @@ def run_experiment(
         "basis": pair.basis.tolist(),
         "coefficients": pair.coefficients.tolist(),
         "item_labels": None if item_labels is None else item_labels.labels.tolist(),
-        "feature_labels": None
-        if feature_labels is None
-        else feature_labels.labels.tolist(),
+        "feature_labels": None if feature_labels is None else feature_labels.labels.tolist(),
+        **evaluate_factors(data, pair.basis, pair.coefficients, item_labels, feature_labels),
     }
-    report.update(
-        evaluate_factors(
-            data,
-            pair.basis,
-            pair.coefficients,
-            item_labels=item_labels,
-            feature_labels=feature_labels,
-        )
-    )
     if include_trace:
         report["trace"] = _trace_dict(trace)
     return report
@@ -334,31 +317,26 @@ def evaluate_report(report, item_labels=None, feature_labels=None):
     }
 
 
-def _sweep_cell(cell_spec, solver, options):
-    data, items, features = generate(cell_spec)
-    return run_experiment(
-        data,
-        cell_spec.k,
-        solver=solver,
-        options=options,
-        item_labels=items,
-        feature_labels=features,
-        source={"spec": cell_spec.as_dict()},
-    )
+def _sweep_cell(solver, cell_spec, options, generated, solved, seconds):
+    data, items, features = generated
+    return _report(data, solver, options, solved, seconds, items, features,
+                   {"spec": cell_spec.as_dict()})
 
 
 def run_sweep(spec, solvers, seeds, lambdas, base_options=None):
-    """Run the (solver, seed, lambda) grid serially and deterministically.
+    """Run the (solver, seed, lambda) grid deterministically.
 
-    Every cell regenerates its dataset with the cell's seed (which also
-    seeds the solver) so cells are independent.  Returns one report per
-    cell in (solver, seed, lambda) sort order; a value repeated in
-    ``solvers``, ``seeds`` or ``lambdas`` runs once.  Every cell's seed,
-    lambda, solver and ortho mode are checked before the first cell runs,
-    and the first faulty cell in the order given raises.  Cells whose
-    solver runs with equal options run once: mu and anls run unpenalized,
-    so each is computed once per seed and its report repeated for each
-    lambda, sharing its nested lists and differing only in ``lambda``.
+    Every cell's dataset is generated with the cell's seed (which also
+    seeds the solver).  Returns one report per cell in (solver, seed,
+    lambda) sort order; a value repeated in ``solvers``, ``seeds`` or
+    ``lambdas`` runs once.  Every cell's seed, lambda, solver and ortho
+    mode are checked before the first cell runs, and the first faulty cell
+    in the order given raises.  Cells whose solver runs with equal options
+    run once: mu and anls run unpenalized, so each is computed once per
+    seed and its report repeated for each lambda, sharing its nested lists
+    and differing only in ``lambda``.  The mu cells are solved as one
+    stack and the ortho cells as another, with the results of solving
+    each alone; ``seconds`` splits a solve's time evenly over its cells.
     """
     if base_options is None:
         base_options = SolverOptions()
@@ -371,13 +349,22 @@ def run_sweep(spec, solvers, seeds, lambdas, base_options=None):
               (asked := replace(base_options, seed=seed, penalty=lam)).penalty,
               _runs_with(solver, asked))
              for solver, seed, lam in product(solvers, seeds, lambdas or [0.0])]
+    cells.sort(key=lambda c: (c[0], c[1].seed, c[2]))
+    served = Counter((solver, cell_spec, options) for solver, cell_spec, _, options in cells)
+    generated = {cell_spec: generate(cell_spec) for cell_spec in {cell[1] for cell in served}}
     runs = {}
-    reports = []
-    for solver, cell_spec, lam, options in sorted(cells, key=lambda c: (c[0], c[1].seed, c[2])):
-        if (solver, options) not in runs:
-            runs[solver, options] = _sweep_cell(cell_spec, solver, options)
-        reports.append({**runs[solver, options], "lambda": lam})
-    return reports
+    # one stack per solver: a sweep's cells share the data shape, k and
+    # epsilon_guard, and the solver fixes the ortho mode; nnls does not batch
+    for _, stack in groupby(served, key=lambda cell: cell if cell[0] == "anls" else cell[0]):
+        stack = list(stack)
+        problems = [(generated[cell_spec][0], spec.k, options) for _, cell_spec, options in stack]
+        started = time.perf_counter()
+        solved = _run(problems, _anls_sweep if stack[0][0] == "anls" else _mu_update)
+        share = (time.perf_counter() - started) / sum(served[cell] for cell in stack)
+        for cell, result in zip(stack, solved):
+            runs[cell] = _sweep_cell(*cell, generated[cell[1]], result, share)
+    return [{**runs[solver, cell_spec, options], "lambda": lam}
+            for solver, cell_spec, lam, options in cells]
 
 
 def summary_rows_to_csv(reports):

@@ -61,12 +61,14 @@ class Partition:
         if not np.issubdtype(arr.dtype, np.integer):
             if not np.all(arr == np.floor(arr)):
                 raise DomainError("labels must be integers")
-        arr = _frozen(arr, np.int64)
         k = _cluster_count(self.n_clusters)
-        if arr.min() < 0 or arr.max() >= k:
-            bad = int(np.flatnonzero((arr < 0) | (arr >= k))[0])
-            raise DomainError(f"label {arr[bad]} at position {bad} outside [0, {k})")
-        object.__setattr__(self, "labels", arr)
+        # before the int64 cast, which would alter an infinite or huge label
+        top = min(k, 2**63)
+        outside = (arr < 0) | (arr >= top)
+        if np.any(outside):
+            bad = int(np.flatnonzero(outside)[0])
+            raise DomainError(f"label {arr[bad]} at position {bad} outside [0, {top})")
+        object.__setattr__(self, "labels", _frozen(arr, np.int64))
         object.__setattr__(self, "n_clusters", k)
 
     @property
@@ -95,7 +97,9 @@ def as_partition(labels, n_clusters=None):
     if n_clusters is None:
         if arr.size == 0:
             raise ShapeError("labels must be a nonempty 1-D array, got shape (0,)")
-        n_clusters = int(np.max(arr)) + 1
+        top = np.max(arr)
+        # a label past int64 gets the largest count, and Partition names it
+        n_clusters = int(top) + 1 if top < 2**63 else 2**63
     return Partition(arr, n_clusters)
 
 

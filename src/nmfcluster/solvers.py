@@ -12,15 +12,16 @@ nonnegative factors:
   solved exactly column by column by ``scipy.optimize.nnls``.
 
 All three run through one restart-and-stop driver that takes the
-per-iteration step as a function.  The driver runs all restarts as one
-stacked iteration, one step for the whole stack, with results equal to
-running them one at a time; each restart keeps its own trace and stopping
-rule.  Every solver returns a (FactorPair, ConvergenceTrace) pair and is
-deterministic given (data, rank, options).
+per-iteration step as a function.  It solves a list of problems, each
+restart a slice of one stacked iteration with its own trace and stopping
+rule, with results equal to solving each restart alone.  Every solver
+returns a (FactorPair, ConvergenceTrace) pair and is deterministic given
+(data, rank, options) and the BLAS thread count.
 """
 
 import warnings
 from dataclasses import dataclass, replace
+from itertools import count, islice
 
 import numpy as np
 
@@ -178,26 +179,26 @@ def mu_step(data, basis, coef, options=None):
     if options is None:
         options = SolverOptions()
     data, basis, coef = _conforming(data, basis, coef)
-    return _mu_update(data, basis, coef, options)
+    return _mu_update(data, basis, coef, options.effective_penalty, options)
 
 
-def _mu_update(data, basis, coef, options):
-    # mu_step without validation, for the solvers' loop; the factors are
-    # 2-D or stacks of restarts, (R, m, k) and (R, k, n)
+def _mu_update(data, basis, coef, lam, options):
+    # mu_step without validation, for the solvers' loop: 2-D arrays, or
+    # stacks of slices with lam an (S, 1, 1) array of their penalties; a
+    # zero penalty adds exact zeros, leaving the unpenalized iterates
     eps = options.epsilon_guard
-    lam = options.effective_penalty
     mode = options.ortho_mode
 
     numer = data @ coef.mT
     denom = basis @ (coef @ coef.mT)
-    if lam > 0.0 and mode in ("cols_of_B", "both"):
+    if mode in ("cols_of_B", "both"):
         numer = numer + 2.0 * lam * basis
         denom = denom + 2.0 * lam * (basis @ (basis.mT @ basis))
     basis = basis * numer / (denom + eps)
 
     numer = basis.mT @ data
     denom = (basis.mT @ basis) @ coef
-    if lam > 0.0 and mode in ("rows_of_C", "both"):
+    if mode in ("rows_of_C", "both"):
         numer = numer + 2.0 * lam * coef
         denom = denom + 2.0 * lam * ((coef @ coef.mT) @ coef)
     coef = coef * numer / (denom + eps)
@@ -217,18 +218,18 @@ def penalty_value(basis, coef, options):
     total = 0.0
     if options.ortho_mode in ("cols_of_B", "both"):
         g = basis.T @ basis
-        g = g - np.eye(g.shape[0])
+        g.ravel()[::g.shape[0] + 1] -= 1.0  # G - I in place, G being fresh
         total += float(np.vdot(g, g))
     if options.ortho_mode in ("rows_of_C", "both"):
         g = coef @ coef.T
-        g = g - np.eye(g.shape[0])
+        g.ravel()[::g.shape[0] + 1] -= 1.0
         total += float(np.vdot(g, g))
     return 0.5 * lam * total
 
 
 class _Restart:
     """One restart of ``_run``'s stacked iteration: its trace, its stopping
-    rule and its latest iterate, which is its result once it has ended.
+    rule and, once it has ended, its last iterate, which is its result.
 
     The objective (and the penalized value, kept when ortho_mode is not
     none) is recorded on every iteration from the residual B C - A that
@@ -263,9 +264,12 @@ class _Restart:
         if t >= self.window:
             prev = self.monitored[-1 - self.window]
             fired = prev <= 0.0 or (prev - self.monitored[-1]) / prev < self.tolerance
-        # a window rule that fires at the cap still counts as converged
-        self.last = (t, basis, coef, residual, fired)
-        return fired or t == self.cap
+        # a window rule that fires at the cap still counts as converged; the
+        # last iterate is copied, since a slice's views would pin its stack
+        ended = fired or t == self.cap
+        if ended:
+            self.last = (t, basis.copy(), coef.copy(), residual.copy(), fired)
+        return ended
 
     def _diagnose(self, t, basis, coef, residual):
         self.diagnostics.append((t, *_kkt_norms(basis, coef, residual),
@@ -306,31 +310,34 @@ def _validate_problem(data, k):
     return data, _rank(k, *data.shape)
 
 
-def _run(data, k, options, step):
-    """All restarts as one stacked iteration, equal to running them one at
-    a time.
+def _run(problems, step):
+    """One (FactorPair, ConvergenceTrace) per ``(data, k, options)``
+    problem, all restarts solved as one stacked iteration, equal to solving
+    each alone.  The problems share the data shape, k, ``epsilon_guard``
+    and ``ortho_mode``; ``step`` reads them from the first one's options.
 
-    Restart r starts from seed ``options.seed + r``.  The running
-    restarts' factors are stacked as (R, m, k) and (R, k, n), and one call
-    of ``step(data, basis, coef, options)`` updates the whole stack; once
-    one restart is left it iterates on plain 2-D factors.  Each restart is
-    a ``_Restart`` that records its own trace and applies its own stopping
-    rule; a restart leaves the stack once it has ended.  The lowest final
-    monitored value wins, the earliest restart on ties, and the trace
-    covers the winner only.
+    Restart r starts from seed ``options.seed + r``.  The running slices'
+    data, factors and penalties are stacked as (S, m, n), (S, m, k),
+    (S, k, n) and (S, 1, 1), and one ``step(data, basis, coef, penalty,
+    options)`` updates them all; a last slice iterates on 2-D arrays.  Each
+    slice is a ``_Restart`` with its own trace and stopping rule, and
+    leaves the stack once it has ended.  Per problem, the lowest final
+    monitored value wins, the earliest restart on ties.
     """
-    data, k = _validate_problem(data, k)
-    m, n = data.shape
-    starts = [init_factors(m, n, k, data, options.seed + r)
-              for r in range(options.restarts)]
-    basis = np.stack([start.basis for start in starts])
-    coef = np.stack([start.coefficients for start in starts])
-    restarts = running = [_Restart(options) for _ in starts]
-    for t in range(options.max_iterations + 1):
+    problems = [(*_validate_problem(data, k), options) for data, k, options in problems]
+    slices = [(data, init_factors(*data.shape, k, data, options.seed + r), options)
+              for data, k, options in problems for r in range(options.restarts)]
+    data = np.stack([data for data, _, _ in slices])
+    basis = np.stack([start.basis for _, start, _ in slices])
+    coef = np.stack([start.coefficients for _, start, _ in slices])
+    penalty = np.array([options.effective_penalty for *_, options in slices]).reshape(-1, 1, 1)
+    restarts = running = [_Restart(options) for *_, options in slices]
+    options = problems[0][2]
+    for t in count():
         if len(running) == 1 and basis.ndim == 3:
-            basis, coef = basis[0], coef[0]
+            data, basis, coef, penalty = data[0], basis[0], coef[0], penalty[0]
         if t > 0:
-            basis, coef = step(data, basis, coef, options)
+            basis, coef = step(data, basis, coef, penalty, options)
         residual = basis @ coef - data
         if basis.ndim == 2:
             if running[0].add(t, basis, coef, residual):
@@ -342,9 +349,11 @@ def _run(data, k, options, step):
             break
         if len(keep) < len(running):
             running = [running[i] for i in keep]
-            basis, coef = basis[keep], coef[keep]
-    # min keeps the earliest of equal values
-    return min(restarts, key=lambda run: run.monitored[-1]).result(k)
+            data, basis, coef, penalty = data[keep], basis[keep], coef[keep], penalty[keep]
+    # a problem's restarts are consecutive; min keeps the earliest of equals
+    restarts = iter(restarts)
+    return [min(islice(restarts, options.restarts), key=lambda run: run.monitored[-1]).result(k)
+            for _, k, options in problems]
 
 
 def nmf_multiplicative(data, k, options=None):
@@ -357,7 +366,7 @@ def nmf_multiplicative(data, k, options=None):
     the initial point (iteration 0).  ortho_mode and penalty are ignored
     here; use nmf_orthogonal for the penalized regimes.
     """
-    return _run(data, k, _runs_with("mu", options), _mu_update)
+    return _run([(data, k, _runs_with("mu", options))], _mu_update)[0]
 
 
 def nmf_orthogonal(data, k, options):
@@ -369,7 +378,7 @@ def nmf_orthogonal(data, k, options):
     alongside it.  With penalty=0 the arithmetic reduces exactly to
     nmf_multiplicative, iterate for iterate.
     """
-    return _run(data, k, _runs_with("ortho", options), _mu_update)
+    return _run([(data, k, _runs_with("ortho", options))], _mu_update)[0]
 
 
 @dataclass(frozen=True)
@@ -464,10 +473,10 @@ def anls_basis_step(data, coef):
     return basis
 
 
-def _anls_sweep(data, basis, coef, options):
+def _anls_sweep(data, basis, coef, *_):
     if basis.ndim == 3:
         # scipy's nnls does not batch, so a stack is swept slice by slice
-        pairs = [_anls_sweep(data, b, c, options) for b, c in zip(basis, coef)]
+        pairs = [_anls_sweep(*slice_) for slice_ in zip(data, basis, coef)]
         return np.stack([b for b, _ in pairs]), np.stack([c for _, c in pairs])
     coef = anls_coefficient_step(data, basis)
     return anls_basis_step(data, coef), coef
@@ -480,4 +489,4 @@ def nmf_anls(data, k, options=None):
     non-increasing per half-sweep up to arithmetic noise.  Restart and
     stopping semantics match nmf_multiplicative.
     """
-    return _run(data, k, _runs_with("anls", options), _anls_sweep)
+    return _run([(data, k, _runs_with("anls", options))], _anls_sweep)[0]

@@ -46,12 +46,13 @@ def test_one_traced_sweep_round_passes_its_check(bench, tmp_path):
         tracer.uninstall()
     table = tracing.span_table(tracer.spans(), tracer.names())
     assert table["experiment.run_sweep"]["calls"] == 1
-    assert table["experiment.sweep_cell"]["calls"] > 0
-    # the solvers are reached through the names the tracer patches: one
-    # mu run per seed, one ortho run per (seed, lambda)
+    # the grid is solved as stacked problems, past the public solvers the
+    # tracer patches, and one report is made per distinct cell: one mu cell
+    # per seed, one ortho cell per (seed, lambda)
     sweep = bench["workloads"].Sweep
-    assert table["solvers.nmf_multiplicative"]["calls"] == sweep.SEEDS
-    assert table["solvers.nmf_orthogonal"]["calls"] == sweep.SEEDS * len(sweep.LAMBDAS)
+    assert table["solvers.nmf_multiplicative"]["calls"] == 0
+    assert table["solvers.nmf_orthogonal"]["calls"] == 0
+    assert table["experiment.sweep_cell"]["calls"] == sweep.SEEDS * (1 + len(sweep.LAMBDAS))
 
 
 def test_report_oracle_ops_pass_their_check_with_six_oracle_calls(bench, tmp_path):

@@ -20,8 +20,7 @@ from nmfcluster.experiment import (
     run_sweep,
     summary_rows_to_csv,
 )
-from nmfcluster import experiment
-from nmfcluster.experiment import _sweep_cell
+from nmfcluster import experiment, solvers
 from nmfcluster.solvers import SolverOptions
 
 
@@ -223,6 +222,15 @@ def _mask_seconds(csv_text):
     return "\n".join(masked)
 
 
+def _direct_cell(spec, solver, options):
+    # one sweep cell's report from the public run_experiment
+    cell_spec = replace(spec, seed=options.seed)
+    data, items, features = generate(cell_spec)
+    return run_experiment(data, cell_spec.k, solver=solver, options=options,
+                          item_labels=items, feature_labels=features,
+                          source={"spec": cell_spec.as_dict()})
+
+
 def test_sweep_grid_and_determinism():
     seeds = [0, 1]
     lambdas = [0.0, 0.5]
@@ -230,9 +238,8 @@ def test_sweep_grid_and_determinism():
     sweep = run_sweep(SPEC, ["mu", "ortho"], seeds, lambdas, base_options=options)
     cells = sorted((solver, seed, lam) for solver in ("mu", "ortho")
                    for seed in seeds for lam in lambdas)
-    reference = [{**_sweep_cell(replace(SPEC, seed=seed), solver,
-                                replace(options, seed=seed, penalty=lam)), "lambda": lam}
-                 for solver, seed, lam in cells]
+    reference = [{**_direct_cell(SPEC, solver, replace(options, seed=seed, penalty=lam)),
+                  "lambda": lam} for solver, seed, lam in cells]
     assert len(sweep) == 8
     keys = [(r["solver"], r["seed"], r["lambda"]) for r in sweep]
     assert keys == cells
@@ -245,22 +252,46 @@ def test_sweep_grid_and_determinism():
         assert got == want
 
 
+@pytest.mark.parametrize("mode, cap", [("rows_of_C", 40), ("cols_of_B", 40), ("both", 20)])
+def test_sweep_equals_each_cell_run_alone(mode, cap):
+    # the stacked mu and ortho solves give each cell the report that
+    # run_experiment gives it alone, apart from seconds; some cells run to
+    # the cap while others stop earlier, so the stacks shrink on the way
+    options = SolverOptions(ortho_mode=mode, restarts=2, max_iterations=cap,
+                            tolerance=1e-4, window=5)
+    grid = run_sweep(SPEC, ["mu", "anls", "ortho"], [0, 1], [0.0, 0.2, 2.0], options)
+    stops = {r["iterations"] for r in grid if r["solver"] != "anls"}
+    assert cap in stops and min(stops) < cap
+    for rep in grid:
+        want = _direct_cell(SPEC, rep["solver"],
+                            replace(options, seed=rep["seed"], penalty=rep["lambda"]))
+        assert {**rep, "seconds": None} == {**want, "seconds": None, "lambda": rep["lambda"]}
+
+
+def test_sweep_seconds_split_the_solve_time():
+    # every cell's seconds is its even share of the stacked solve that made
+    # it, so the lambda-blind mu cells and the ortho cells each show one value
+    grid = run_sweep(SPEC, ["mu", "ortho"], [0, 1], [0.0, 0.5],
+                     base_options=SolverOptions(ortho_mode="rows_of_C", max_iterations=20))
+    for solver in ("mu", "ortho"):
+        assert len({r["seconds"] for r in grid if r["solver"] == solver}) == 1
+
+
 @pytest.fixture
 def solver_calls(monkeypatch):
-    # the number of calls of each solver that experiment makes
+    # the number of problems of each solver that experiment's stacked solves
+    # receive, told apart by their step and ortho mode
     calls = {"mu": 0, "anls": 0, "ortho": 0}
+    run = experiment._run
 
-    def counting(solver, fn):
-        def wrapper(*args, **kwargs):
+    def counting(problems, step):
+        for _, _, options in problems:
+            solver = ("anls" if step is solvers._anls_sweep
+                      else "mu" if options.ortho_mode == "none" else "ortho")
             calls[solver] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+        return run(problems, step)
 
-    monkeypatch.setattr(experiment, "nmf_multiplicative",
-                        counting("mu", experiment.nmf_multiplicative))
-    monkeypatch.setattr(experiment, "nmf_anls", counting("anls", experiment.nmf_anls))
-    monkeypatch.setattr(experiment, "nmf_orthogonal",
-                        counting("ortho", experiment.nmf_orthogonal))
+    monkeypatch.setattr(experiment, "_run", counting)
     return calls
 
 

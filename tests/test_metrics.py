@@ -1,6 +1,7 @@
 """Partitions, assignments, ratio association, deviations, accuracy, NMI."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +66,23 @@ def test_partition_validation():
             Partition([0, 1, 0], count)
     p = Partition([0, 1, 0], np.int64(2))
     assert type(p.n_clusters) is int and p.n_clusters == 2
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Partition(np.array([0.0, np.inf]), 2), "label inf at position 1 outside [0, 2)"),
+    (lambda: Partition(np.array([0.0, 5.0]), 3), "label 5.0 at position 1 outside [0, 3)"),
+    (lambda: Partition(np.array([0, 2**70]), 2),
+     f"label {2**70} at position 1 outside [0, 2)"),
+    (lambda: as_partition([0, 2**70]), f"label {2**70} at position 1 outside [0, {2**63})"),
+    (lambda: as_partition([0.0, -np.inf]), "label -inf at position 1 outside [0, 1)"),
+    (lambda: as_partition([0.0, np.inf]), f"label inf at position 1 outside [0, {2**63})"),
+    (lambda: as_partition([0.0, np.nan]), "labels must be integers"),
+], ids=["inf", "float", "past-int64", "as-partition-past-int64", "as-partition-minus-inf",
+        "as-partition-inf", "as-partition-nan"])
+def test_partition_names_a_label_it_cannot_hold(make, message):
+    # checked before the int64 cast, so no cast warning or OverflowError
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def test_as_partition_coercion():

@@ -23,6 +23,9 @@ from nmfcluster.solvers import (
     anls_basis_step,
     anls_coefficient_step,
     penalty_value,
+    _anls_sweep,
+    _mu_update,
+    _run,
 )
 
 from oracles import offdiag_energy
@@ -579,3 +582,29 @@ def test_only_the_ortho_solver_reads_the_ortho_options(solver):
     ortho = solver(a, 3, SolverOptions(ortho_mode="rows_of_C", penalty=1.0))
     assert ortho[1].penalized is None
     _assert_same_run(ortho, plain)
+
+
+@pytest.mark.parametrize("solver, step, mode, cap_divisor", [
+    (nmf_multiplicative, _mu_update, "none", 1),
+    (nmf_orthogonal, _mu_update, "rows_of_C", 1),
+    (nmf_orthogonal, _mu_update, "cols_of_B", 1),
+    (nmf_orthogonal, _mu_update, "both", 1),
+    (nmf_anls, _anls_sweep, "none", 8),
+])
+def test_stacked_problems_equal_each_problem_solved_alone(solver, step, mode, cap_divisor):
+    # problems that share shape, k and ortho mode but differ in data, seed,
+    # restarts, penalty (0 included), cap, window and tolerance
+    rng = np.random.default_rng(8)
+    problems = [(rng.random((9, 7)), 3, SolverOptions(
+        seed=seed, restarts=restarts, max_iterations=cap // cap_divisor, window=window,
+        tolerance=tolerance, ortho_mode=mode, penalty=0.0 if mode == "none" else penalty))
+        for seed, restarts, cap, window, tolerance, penalty in [
+            (0, 2, 400, 5, 1e-4, 0.0), (1, 1, 100, 5, 1e-4, 0.3),
+            (2, 3, 400, 10, 1e-5, 2.0), (3, 1, 400, 3, 1e-3, 0.0)]]
+    stacked = _run(problems, step)
+    assert len(stacked) == len(problems)
+    for result, (data, k, options) in zip(stacked, problems):
+        _assert_same_run(result, solver(data, k, options))
+    # one problem stops at its cap while the others run on
+    assert any(pair.iterations == options.max_iterations
+               for (pair, _), (_, _, options) in zip(stacked, problems))
