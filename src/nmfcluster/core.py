@@ -173,22 +173,41 @@ def kkt_residual(data, basis, coef):
     tuple; both are zero exactly at a KKT point.
     """
     data, basis, coef = _conforming(data, basis, coef)
-    return _kkt_norms(basis, coef, basis @ coef - data)
+    kkt_b, kkt_c = _kkt_norms(basis, coef, basis @ coef - data)
+    return float(kkt_b), float(kkt_c)
 
 
 def _kkt_norms(basis, coef, residual):
-    # kkt_residual's norms given residual = basis @ coef - data, unvalidated
-    gb = residual @ coef.T
-    gc = basis.T @ residual
-    return (float(np.linalg.norm(np.minimum(basis, gb))),
-            float(np.linalg.norm(np.minimum(coef, gc))))
+    # kkt_residual's norms given residual = basis @ coef - data, unvalidated;
+    # arrays of each slice's norms for stacks
+    gb = residual @ coef.mT
+    gc = basis.mT @ residual
+    return np.sqrt(_dots(np.minimum(basis, gb))), np.sqrt(_dots(np.minimum(coef, gc)))
+
+
+def _dots(x):
+    # np.vdot(x, x) of a matrix, or of each of a stack of them as an array:
+    # a (1, p) @ (p, 1) product is one BLAS ddot per slice, the call and
+    # the order of summation of vdot (and of np.linalg.norm)
+    if x.ndim == 2:
+        return float(np.vdot(x, x))
+    flat = x.reshape(len(x), 1, -1)
+    return (flat @ flat.mT).ravel()
+
+
+def _diagonal(x):
+    # a writable view of the diagonal of a square matrix, or of each of a
+    # stack of them
+    step = x.shape[-1] + 1
+    return x.ravel()[::step] if x.ndim == 2 else x.reshape(len(x), -1)[:, ::step]
 
 
 def _offdiag_energy(gram):
-    # sum of the squared off-diagonal entries of a Gram matrix
+    # sum of the squared off-diagonal entries of a Gram matrix, or of each
+    # of a stack of them
     off = gram.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.vdot(off, off))
+    _diagonal(off)[...] = 0.0
+    return _dots(off)
 
 
 def normalize_factors(basis, coef):

@@ -117,6 +117,10 @@ def evaluate_factors(data, basis, coef, item_labels=None, feature_labels=None):
         aff_features, features, feature_labels
     )
     k = items.n_clusters
+    ra_items_oracle = _oracle(aff_items, k)
+    # equal affinities, as A^T A and A A^T may be on a symmetric input,
+    # have one RA optimum: the exhaustive search runs once
+    same = np.array_equal(aff_items.matrix, aff_features.matrix)
     return {
         "kkt_b": kkt_b,
         "kkt_c": kkt_c,
@@ -128,8 +132,8 @@ def evaluate_factors(data, basis, coef, item_labels=None, feature_labels=None):
         "feature_labels_pred": features.labels.tolist(),
         "ra_items": ra_items,
         "ra_features": ra_features,
-        "ra_items_oracle": _oracle(aff_items, k),
-        "ra_features_oracle": _oracle(aff_features, k),
+        "ra_items_oracle": ra_items_oracle,
+        "ra_features_oracle": ra_items_oracle if same else _oracle(aff_features, k),
         "accuracy": accuracy,
         "nmi": item_nmi,
         "feature_accuracy": feature_accuracy,

@@ -14,14 +14,16 @@ nonnegative factors:
 All three run through one restart-and-stop driver that takes the
 per-iteration step as a function.  It solves a list of problems, each
 restart a slice of one stacked iteration with its own trace and stopping
-rule, with results equal to solving each restart alone.  Every solver
-returns a (FactorPair, ConvergenceTrace) pair and is deterministic given
-(data, rank, options) and the BLAS thread count.
+rule, with results equal to solving each restart alone: the trace record
+computes each quantity once for the stack, with the one-slice record's
+products and sums.  Every solver returns a (FactorPair, ConvergenceTrace)
+pair and is deterministic given (data, rank, options) and the BLAS thread
+count.
 """
 
 import warnings
 from dataclasses import dataclass, replace
-from itertools import count, islice
+from itertools import count, islice, repeat
 
 import numpy as np
 
@@ -33,6 +35,8 @@ from .core import (
     frobenius_objective,
     require_nonnegative,
     _conforming,
+    _diagonal,
+    _dots,
     _frozen,
     _integer_fields,
     _kkt_norms,
@@ -215,16 +219,24 @@ def penalty_value(basis, coef, options):
     lam = options.effective_penalty
     if lam == 0.0:
         return 0.0
+    return 0.5 * lam * _gram_deviation(basis, coef, options.ortho_mode)
+
+
+def _gram_deviation(basis, coef, mode):
+    # ||B^T B - I||_F^2 and/or ||C C^T - I||_F^2, as ``mode`` selects, of
+    # one factor pair or of each of a stack of them
     total = 0.0
-    if options.ortho_mode in ("cols_of_B", "both"):
-        g = basis.T @ basis
-        g.ravel()[::g.shape[0] + 1] -= 1.0  # G - I in place, G being fresh
-        total += float(np.vdot(g, g))
-    if options.ortho_mode in ("rows_of_C", "both"):
-        g = coef @ coef.T
-        g.ravel()[::g.shape[0] + 1] -= 1.0
-        total += float(np.vdot(g, g))
-    return 0.5 * lam * total
+    if mode in ("cols_of_B", "both"):
+        g = basis.mT @ basis
+        diagonal = _diagonal(g)
+        diagonal -= 1.0  # G - I in place, G being fresh
+        total = total + _dots(g)
+    if mode in ("rows_of_C", "both"):
+        g = coef @ coef.mT
+        diagonal = _diagonal(g)
+        diagonal -= 1.0
+        total = total + _dots(g)
+    return total
 
 
 class _Restart:
@@ -232,10 +244,10 @@ class _Restart:
     rule and, once it has ended, its last iterate, which is its result.
 
     The objective (and the penalized value, kept when ortho_mode is not
-    none) is recorded on every iteration from the residual B C - A that
-    ``_run`` computed for the whole stack; the KKT norms and Gram
+    none) is recorded on every iteration, the KKT norms and Gram
     off-diagonal energies every DIAGNOSTIC_STRIDE iterations, and at the
-    final one.
+    final one.  ``_run`` computes them for the whole stack, so that a
+    slice only appends floats and tests its stopping rule.
     """
 
     def __init__(self, options):
@@ -251,14 +263,28 @@ class _Restart:
         # the values the window rule and the choice of restart read
         self.monitored = self.objective if self.penalized is None else self.penalized
 
-    def add(self, t, basis, coef, residual):
-        """Record iteration t, called at t = 0, 1, 2, ...; True once ended."""
-        obj = 0.5 * float(np.vdot(residual, residual))
-        self.objective.append(obj)
+    def add(self, t, iterate, at=..., values=None):
+        """Record iteration t, called at t = 0, 1, 2, ...; True once ended.
+
+        ``iterate`` is the (basis, coef, residual) stack, ``at`` the slice's
+        index in it and ``values`` its values from ``_stack_values``.  A
+        slice iterating alone, on 2-D arrays (``at`` being ``...``),
+        computes its own by np.vdot and ``penalty_value``.
+        """
+        if values is None:
+            basis, coef, residual = iterate
+            objective = 0.5 * float(np.vdot(residual, residual))
+            penalized = None if self.penalized is None else (
+                objective + penalty_value(basis, coef, self.options))
+            diagnostics = (_diagnostics(basis, coef, residual)
+                           if t % DIAGNOSTIC_STRIDE == 0 else None)
+        else:
+            objective, penalized, diagnostics = values
+        self.objective.append(objective)
         if self.penalized is not None:
-            self.penalized.append(obj + penalty_value(basis, coef, self.options))
-        if t % DIAGNOSTIC_STRIDE == 0:
-            self._diagnose(t, basis, coef, residual)
+            self.penalized.append(penalized)
+        if diagnostics is not None:
+            self.diagnostics.append((t, *diagnostics))
         # monitored[0] is the initial point; one test needs window+1 entries
         fired = False
         if t >= self.window:
@@ -268,19 +294,14 @@ class _Restart:
         # last iterate is copied, since a slice's views would pin its stack
         ended = fired or t == self.cap
         if ended:
-            self.last = (t, basis.copy(), coef.copy(), residual.copy(), fired)
+            self.last = (t, *(x[at].copy() for x in iterate), fired)
         return ended
-
-    def _diagnose(self, t, basis, coef, residual):
-        self.diagnostics.append((t, *_kkt_norms(basis, coef, residual),
-                                 _offdiag_energy(basis.T @ basis),
-                                 _offdiag_energy(coef @ coef.T)))
 
     def result(self, k):
         """The (FactorPair, ConvergenceTrace) of the last recorded iteration."""
         t, basis, coef, residual, converged = self.last
         if self.diagnostics[-1][0] != t:
-            self._diagnose(t, basis, coef, residual)
+            self.diagnostics.append((t, *_diagnostics(basis, coef, residual)))
         iteration, kkt_b, kkt_c, basis_off, coef_off = map(np.asarray, zip(*self.diagnostics))
         pair = FactorPair(
             basis=basis,
@@ -302,6 +323,27 @@ class _Restart:
         )
 
 
+def _diagnostics(basis, coef, residual):
+    # the KKT norms of B and C and their Gram off-diagonal energies, of one
+    # slice or of each of a stack
+    return (*_kkt_norms(basis, coef, residual),
+            _offdiag_energy(basis.mT @ basis), _offdiag_energy(coef @ coef.mT))
+
+
+def _stack_values(t, basis, coef, residual, penalty, mode):
+    # every slice's (objective, penalized, diagnostics), each quantity by
+    # one batched call whose products and sums are those of the 2-D record
+    objective = 0.5 * _dots(residual)
+    penalized = repeat(None)
+    if mode != "none":
+        # 0.0 at lambda = 0, as penalty_value returns, while the deviation is finite
+        penalized = (objective + 0.5 * penalty.ravel() * _gram_deviation(basis, coef, mode)).tolist()
+    diagnostics = repeat(None)
+    if t % DIAGNOSTIC_STRIDE == 0:
+        diagnostics = np.column_stack(_diagnostics(basis, coef, residual)).tolist()
+    return zip(objective.tolist(), penalized, diagnostics)
+
+
 def _validate_problem(data, k):
     data = as_matrix(data, "data")
     require_nonnegative(data, "data")
@@ -319,10 +361,13 @@ def _run(problems, step):
     Restart r starts from seed ``options.seed + r``.  The running slices'
     data, factors and penalties are stacked as (S, m, n), (S, m, k),
     (S, k, n) and (S, 1, 1), and one ``step(data, basis, coef, penalty,
-    options)`` updates them all; a last slice iterates on 2-D arrays.  Each
-    slice is a ``_Restart`` with its own trace and stopping rule, and
-    leaves the stack once it has ended.  Per problem, the lowest final
-    monitored value wins, the earliest restart on ties.
+    options)`` updates them all.  ``_stack_values`` then computes each
+    recorded quantity by one batched call.  Each slice is a ``_Restart``
+    with its own trace and stopping rule, and leaves the stack once it has
+    ended.  A last slice iterates on 2-D arrays and records itself with
+    np.vdot and ``penalty_value``: for one slice a batched record costs
+    more than it saves.  Per problem, the lowest final monitored value
+    wins, the earliest restart on ties.
     """
     problems = [(*_validate_problem(data, k), options) for data, k, options in problems]
     slices = [(data, init_factors(*data.shape, k, data, options.seed + r), options)
@@ -338,13 +383,14 @@ def _run(problems, step):
             data, basis, coef, penalty = data[0], basis[0], coef[0], penalty[0]
         if t > 0:
             basis, coef = step(data, basis, coef, penalty, options)
-        residual = basis @ coef - data
+        iterate = basis, coef, basis @ coef - data
         if basis.ndim == 2:
-            if running[0].add(t, basis, coef, residual):
+            if running[0].add(t, iterate):
                 break
             continue
-        keep = [i for i, (run, b, c, res) in enumerate(zip(running, basis, coef, residual))
-                if not run.add(t, b, c, res)]
+        values = _stack_values(t, *iterate, penalty, options.ortho_mode)
+        keep = [i for i, (run, row) in enumerate(zip(running, values))
+                if not run.add(t, iterate, i, row)]
         if not keep:
             break
         if len(keep) < len(running):

@@ -608,3 +608,48 @@ def test_stacked_problems_equal_each_problem_solved_alone(solver, step, mode, ca
     # one problem stops at its cap while the others run on
     assert any(pair.iterations == options.max_iterations
                for (pair, _), (_, _, options) in zip(stacked, problems))
+
+
+@pytest.mark.parametrize("mode", ["rows_of_C", "both"])
+def test_stacked_problems_at_the_sweep_size_equal_each_solved_alone(mode):
+    # a sweep's cell shape, 60 x 60 at k = 3, where BLAS may pick other
+    # kernels than at 9 x 7: eight problems, lambda 0 included, some ended
+    # by their caps and some by the window rule
+    rng = np.random.default_rng(9)
+    problems = [(rng.random((60, 60)), 3, SolverOptions(
+        seed=seed, max_iterations=cap, tolerance=1e-3, window=5, ortho_mode=mode,
+        penalty=penalty))
+        for seed, (penalty, cap) in enumerate(
+            [(p, c) for p in (0.0, 0.1, 1.0, 10.0) for c in (25, 150)])]
+    stacked = _run(problems, _mu_update)
+    for result, (data, k, options) in zip(stacked, problems):
+        _assert_same_run(result, nmf_orthogonal(data, k, options))
+    stops = [(pair.iterations, options.max_iterations)
+             for (pair, _), (_, _, options) in zip(stacked, problems)]
+    assert any(it == cap for it, cap in stops) and any(it < cap for it, cap in stops)
+
+
+def _gram_energy(gram):
+    off = gram - np.diag(np.diag(gram))
+    return float(np.vdot(off, off))
+
+
+@pytest.mark.parametrize("solver, mode", [
+    (nmf_multiplicative, "none"),
+    (nmf_orthogonal, "cols_of_B"),
+    (nmf_orthogonal, "both"),
+])
+def test_stacked_diagnostics_equal_those_of_the_returned_factors(solver, mode):
+    # every restart runs to the cap, 60, which is on the diagnostic stride:
+    # the last diagnostics come from the record batched over the stack
+    a = np.random.default_rng(12).random((20, 30))
+    opts = SolverOptions(seed=1, restarts=3, max_iterations=60, tolerance=1e-15,
+                         ortho_mode=mode, penalty=0.0 if mode == "none" else 0.4)
+    pair, trace = solver(a, 4, opts)
+    assert pair.iterations == 60 and trace.diagnostic_iteration[-1] == 60
+    basis, coef = np.asarray(pair.basis), np.asarray(pair.coefficients)
+    assert (trace.kkt_basis[-1], trace.kkt_coef[-1]) == kkt_residual(a, basis, coef)
+    assert trace.basis_offdiag[-1] == _gram_energy(basis.T @ basis)
+    assert trace.coef_offdiag[-1] == _gram_energy(coef @ coef.T)
+    if trace.penalized is not None:
+        assert trace.penalized[-1] == pair.objective + penalty_value(basis, coef, opts)
