@@ -9,9 +9,9 @@ re-evaluates to the same numbers exactly.
 
 ``evaluate_report`` recomputes every metric from a report's stored
 factors (reloading or regenerating the data named by its input
-descriptor) and ``run_sweep`` runs one experiment grid, its MU cells
-solved as stacked problems, one report per (solver, seed, lambda) cell
-plus a deterministic summary table.
+descriptor) and ``run_sweep`` runs one experiment grid, its mu and
+ortho cells solved as one stack of MU problems, one report per (solver,
+seed, lambda) cell plus a deterministic summary table.
 """
 
 import time
@@ -335,12 +335,13 @@ def run_sweep(spec, solvers, seeds, lambdas, base_options=None):
     lambda) sort order; a value repeated in ``solvers``, ``seeds`` or
     ``lambdas`` runs once.  Every cell's seed, lambda, solver and ortho
     mode are checked before the first cell runs, and the first faulty cell
-    in the order given raises.  Cells whose solver runs with equal options
-    run once: mu and anls run unpenalized, so each is computed once per
-    seed and its report repeated for each lambda, sharing its nested lists
-    and differing only in ``lambda``.  The mu cells are solved as one
-    stack and the ortho cells as another, with the results of solving
-    each alone; ``seconds`` splits a solve's time evenly over its cells.
+    in the order given raises.  Cells that solve one problem share it: mu
+    and anls run unpenalized, so each is solved once per seed and its
+    report repeated for each lambda, and a lambda = 0 ortho cell, whose
+    penalty terms add exact zeros, shares its seed's mu solve.  The mu and
+    ortho cells are one stacked MU iteration, with the results of solving
+    each alone, and each anls cell is solved alone.  ``seconds`` splits a
+    solve's time evenly over its cells: one value across all MU cells.
     """
     if base_options is None:
         base_options = SolverOptions()
@@ -354,19 +355,24 @@ def run_sweep(spec, solvers, seeds, lambdas, base_options=None):
               _runs_with(solver, asked))
              for solver, seed, lam in product(solvers, seeds, lambdas or [0.0])]
     cells.sort(key=lambda c: (c[0], c[1].seed, c[2]))
-    served = Counter((solver, cell_spec, options) for solver, cell_spec, _, options in cells)
+    # each cell's (step, cell spec, options) problem, an MU one in the ortho cells' mode
+    mode = base_options.ortho_mode if "ortho" in solvers else "none"
+    problem = {(solver, cell_spec, options): (_anls_sweep, cell_spec, options) if solver == "anls"
+               else (_mu_update, cell_spec, replace(options, ortho_mode=mode))
+               for solver, cell_spec, _, options in cells}
+    served = Counter(problem[solver, cell_spec, options] for solver, cell_spec, _, options in cells)
     generated = {cell_spec: generate(cell_spec) for cell_spec in {cell[1] for cell in served}}
-    runs = {}
-    # one stack per solver: a sweep's cells share the data shape, k and
-    # epsilon_guard, and the solver fixes the ortho mode; nnls does not batch
-    for _, stack in groupby(served, key=lambda cell: cell if cell[0] == "anls" else cell[0]):
+    solved = {}
+    # one stack of all MU problems: a sweep's cells share the data shape, k
+    # and epsilon_guard; nnls does not batch
+    for _, stack in groupby(served, key=lambda p: p if p[0] is _anls_sweep else p[0]):
         stack = list(stack)
         problems = [(generated[cell_spec][0], spec.k, options) for _, cell_spec, options in stack]
         started = time.perf_counter()
-        solved = _run(problems, _anls_sweep if stack[0][0] == "anls" else _mu_update)
-        share = (time.perf_counter() - started) / sum(served[cell] for cell in stack)
-        for cell, result in zip(stack, solved):
-            runs[cell] = _sweep_cell(*cell, generated[cell[1]], result, share)
+        results = _run(problems, stack[0][0])
+        share = (time.perf_counter() - started) / sum(served[p] for p in stack)
+        solved.update((p, (result, share)) for p, result in zip(stack, results))
+    runs = {cell: _sweep_cell(*cell, generated[cell[1]], *solved[p]) for cell, p in problem.items()}
     return [{**runs[solver, cell_spec, options], "lambda": lam}
             for solver, cell_spec, lam, options in cells]
 

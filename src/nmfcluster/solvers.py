@@ -194,7 +194,8 @@ def _mu_update(data, basis, coef, lam, options):
     mode = options.ortho_mode
 
     numer = data @ coef.mT
-    denom = basis @ (coef @ coef.mT)
+    gram = coef @ coef.mT  # of the pre-update C, which the C-step penalty reads too
+    denom = basis @ gram
     if mode in ("cols_of_B", "both"):
         numer = numer + 2.0 * lam * basis
         denom = denom + 2.0 * lam * (basis @ (basis.mT @ basis))
@@ -204,7 +205,7 @@ def _mu_update(data, basis, coef, lam, options):
     denom = (basis.mT @ basis) @ coef
     if mode in ("rows_of_C", "both"):
         numer = numer + 2.0 * lam * coef
-        denom = denom + 2.0 * lam * ((coef @ coef.mT) @ coef)
+        denom = denom + 2.0 * lam * (gram @ coef)
     coef = coef * numer / (denom + eps)
     return basis, coef
 
@@ -422,7 +423,8 @@ def nmf_orthogonal(data, k, options):
     rule and the restart selection both monitor the penalized objective
     (trace field ``penalized``); the trace and FactorPair keep the raw J
     alongside it.  With penalty=0 the arithmetic reduces exactly to
-    nmf_multiplicative, iterate for iterate.
+    nmf_multiplicative, iterate for iterate, while the penalty terms are
+    finite: they add exact zeros, and the penalized value is J + 0.0.
     """
     return _run([(data, k, _runs_with("ortho", options))], _mu_update)[0]
 

@@ -252,14 +252,21 @@ def test_sweep_grid_and_determinism():
         assert got == want
 
 
-@pytest.mark.parametrize("mode, cap", [("rows_of_C", 40), ("cols_of_B", 40), ("both", 20)])
-def test_sweep_equals_each_cell_run_alone(mode, cap):
-    # the stacked mu and ortho solves give each cell the report that
-    # run_experiment gives it alone, apart from seconds; some cells run to
-    # the cap while others stop earlier, so the stacks shrink on the way
+@pytest.mark.parametrize("mode, cap, solvers, lambdas", [
+    ("rows_of_C", 40, ["mu", "anls", "ortho"], [0.0, 0.2, 2.0]),
+    ("cols_of_B", 40, ["mu", "anls", "ortho"], [0.0, 0.2, 2.0]),
+    ("both", 20, ["mu", "anls", "ortho"], [0.0, 0.2, 2.0]),
+    ("rows_of_C", 40, ["ortho"], [0.0, 0.2, 2.0]),
+    ("rows_of_C", 40, ["mu", "anls", "ortho"], [0.2, 2.0]),
+], ids=["rows_of_C-40", "cols_of_B-40", "both-20", "ortho-only", "no-lambda-0"])
+def test_sweep_equals_each_cell_run_alone(mode, cap, solvers, lambdas):
+    # the stacked MU solve gives each cell the report that run_experiment
+    # gives it alone, apart from seconds, whether or not a mu cell shares
+    # its solve with a lambda = 0 ortho cell; some cells run to the cap
+    # while others stop earlier, so the stack shrinks on the way
     options = SolverOptions(ortho_mode=mode, restarts=2, max_iterations=cap,
                             tolerance=1e-4, window=5)
-    grid = run_sweep(SPEC, ["mu", "anls", "ortho"], [0, 1], [0.0, 0.2, 2.0], options)
+    grid = run_sweep(SPEC, solvers, [0, 1], lambdas, options)
     stops = {r["iterations"] for r in grid if r["solver"] != "anls"}
     assert cap in stops and min(stops) < cap
     for rep in grid:
@@ -270,25 +277,21 @@ def test_sweep_equals_each_cell_run_alone(mode, cap):
 
 def test_sweep_seconds_split_the_solve_time():
     # every cell's seconds is its even share of the stacked solve that made
-    # it, so the lambda-blind mu cells and the ortho cells each show one value
+    # it, and the mu and ortho cells share one MU solve, so one value
     grid = run_sweep(SPEC, ["mu", "ortho"], [0, 1], [0.0, 0.5],
                      base_options=SolverOptions(ortho_mode="rows_of_C", max_iterations=20))
-    for solver in ("mu", "ortho"):
-        assert len({r["seconds"] for r in grid if r["solver"] == solver}) == 1
+    assert len({r["seconds"] for r in grid}) == 1
 
 
 @pytest.fixture
 def solver_calls(monkeypatch):
-    # the number of problems of each solver that experiment's stacked solves
-    # receive, told apart by their step and ortho mode
-    calls = {"mu": 0, "anls": 0, "ortho": 0}
+    # the step and the number of problems of each stacked solve that
+    # experiment makes
+    calls = []
     run = experiment._run
 
     def counting(problems, step):
-        for _, _, options in problems:
-            solver = ("anls" if step is solvers._anls_sweep
-                      else "mu" if options.ortho_mode == "none" else "ortho")
-            calls[solver] += 1
+        calls.append((step, len(problems)))
         return run(problems, step)
 
     monkeypatch.setattr(experiment, "_run", counting)
@@ -296,9 +299,12 @@ def solver_calls(monkeypatch):
 
 
 def test_sweep_runs_each_lambda_blind_cell_once(solver_calls):
+    # one MU solve of 2 seeds x (mu at lambda 0, ortho at 0.5 and 1.0): each
+    # lambda = 0 ortho cell shares its seed's mu problem; anls one per seed
     reports = run_sweep(SPEC, ["mu", "anls", "ortho"], [0, 1], [0.0, 0.5, 1.0],
                         base_options=SolverOptions(ortho_mode="rows_of_C"))
-    assert solver_calls == {"mu": 2, "anls": 2, "ortho": 6}
+    assert solver_calls == [(solvers._anls_sweep, 1), (solvers._anls_sweep, 1),
+                            (solvers._mu_update, 6)]
     assert len(reports) == 18
     first = {(r["solver"], r["seed"]): r for r in reports if r["lambda"] == 0.0}
     for rep in reports:
@@ -327,7 +333,7 @@ def test_sweep_raises_before_its_first_cell_runs(
     with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
         run_sweep(SPEC, solvers, seeds, lambdas, base_options=options)
     assert type(raised.value) is error
-    assert solver_calls == {"mu": 0, "anls": 0, "ortho": 0}
+    assert solver_calls == []
 
 
 def test_sweep_runs_a_repeated_value_once():

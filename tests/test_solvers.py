@@ -420,16 +420,32 @@ def test_ortho_requires_a_mode():
         nmf_orthogonal(np.ones((3, 3)), 2, SolverOptions(ortho_mode="none"))
 
 
-def test_ortho_lambda_zero_reproduces_mu_exactly():
-    rng = np.random.default_rng(14)
-    a = rng.random((8, 7))
-    plain, t_plain = nmf_multiplicative(a, 3, SolverOptions(seed=5, max_iterations=40))
-    pen, t_pen = nmf_orthogonal(
-        a, 3, SolverOptions(seed=5, max_iterations=40, ortho_mode="rows_of_C", penalty=0.0)
-    )
+@pytest.mark.parametrize("restarts", [1, 3])
+@pytest.mark.parametrize("mode", ["rows_of_C", "cols_of_B", "both"])
+def test_ortho_lambda_zero_reproduces_mu_exactly(mode, restarts):
+    # at penalty 0 the penalty terms add exact zeros and the monitored
+    # value is the objective plus 0.0, so ortho runs MU bit for bit, alone
+    # on 2-D arrays and as a stack of restarts; the window rule stops seeds
+    # 5 and 6 before the cap, and seed 7 runs to it
+    a = np.random.default_rng(14).random((8, 7))
+    options = SolverOptions(seed=5, max_iterations=40, tolerance=1e-2, window=5,
+                            restarts=restarts)
+    plain, t_plain = nmf_multiplicative(a, 3, options)
+    pen, t_pen = nmf_orthogonal(a, 3, replace(options, ortho_mode=mode))
+    assert plain.iterations < 40
     assert np.array_equal(plain.basis, pen.basis)
     assert np.array_equal(plain.coefficients, pen.coefficients)
-    assert np.array_equal(t_plain.objective, t_pen.objective)
+    assert (plain.objective, plain.iterations, plain.converged) == (
+        pen.objective, pen.iterations, pen.converged)
+    for name in TRACE_FIELDS:
+        if name != "penalized":
+            assert np.array_equal(getattr(t_plain, name), getattr(t_pen, name)), name
+    assert t_plain.penalized is None
+    assert np.array_equal(t_pen.penalized, t_pen.objective)
+    if restarts == 3:
+        stops = [nmf_multiplicative(a, 3, replace(options, seed=seed, restarts=1))[0].iterations
+                 for seed in (5, 6, 7)]
+        assert stops == [39, 29, 40]
 
 
 def test_ortho_penalized_trace_is_objective_plus_penalty():
